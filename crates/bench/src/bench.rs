@@ -429,6 +429,7 @@ mod tests {
                     sample: None,
                 },
             )],
+            None,
         )
         .unwrap();
         let replayed = run_bench(&params);

@@ -1332,7 +1332,7 @@ pub fn execute_run(run: &RunArgs) -> Result<Vec<Report>, CliError> {
                 .iter()
                 .map(|(e, p)| (e.id(), e.classes(), *p))
                 .collect();
-            Some(crate::trace::install_roster(dir, &ids)?)
+            Some(crate::trace::install_roster(dir, &ids, run.jobs)?)
         }
         None => None,
     };
@@ -1421,6 +1421,7 @@ pub fn execute_sweep(sweep: &SweepArgs) -> Result<SweepOutcome, CliError> {
         Some(dir) => Some(crate::trace::install_roster(
             dir,
             &[("sweep", spec.classes.as_slice(), spec.params)],
+            sweep.jobs,
         )?),
         None => None,
     };
@@ -1756,6 +1757,7 @@ pub fn execute_bench(bench: &BenchArgs) -> Result<String, CliError> {
                     sample: None,
                 },
             )],
+            None,
         )?),
         None => None,
     };

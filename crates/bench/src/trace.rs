@@ -4,7 +4,7 @@
 //!   files via [`elsq_isa::etrc::record`],
 //! * `trace info` prints one file's header provenance and block statistics,
 //! * `trace verify` fully decodes files — every CRC, record and the trailer
-//!   count — and exits non-zero on the first corrupt one,
+//!   count — in parallel and exits non-zero listing every corrupt one,
 //! * `run --trace DIR` (handled in [`crate::cli`]) loads a dumped directory
 //!   as a [`TraceRoster`] and installs it as the process-global workload
 //!   source, so every experiment replays the recorded streams.
@@ -16,8 +16,9 @@ use std::sync::Arc;
 use elsq_isa::etrc;
 use elsq_isa::TraceSource;
 use elsq_sim::driver::{install_trace_override, TraceOverrideGuard};
+use elsq_sim::pool::max_threads;
 use elsq_stats::report::ExperimentParams;
-use elsq_workload::suite::{suite, TraceRoster, WorkloadClass};
+use elsq_workload::suite::{suite, verify_traces, TraceRoster, WorkloadClass};
 
 use crate::cli::CliError;
 
@@ -183,17 +184,13 @@ pub fn execute_dump(dump: &TraceDumpArgs) -> Result<String, CliError> {
     Ok(summary)
 }
 
-fn inspect_file(path: &Path) -> Result<(etrc::TraceMeta, etrc::TraceStats), etrc::EtrcError> {
-    let file = std::fs::File::open(path)?;
-    etrc::inspect(std::io::BufReader::new(file))
-}
-
 /// Executes `trace info`: full per-file provenance and block statistics.
 pub fn execute_info(args: &TraceFileArgs) -> Result<String, CliError> {
     let mut out = String::new();
-    for path in &args.files {
-        let (meta, stats) = inspect_file(path)
-            .map_err(|e| CliError::runtime(format!("{}: {e}", path.display())))?;
+    let verified = verify_traces(&args.files, max_threads());
+    for (path, result) in args.files.iter().zip(verified) {
+        let (meta, stats) =
+            result.map_err(|e| CliError::runtime(format!("{}: {e}", path.display())))?;
         let suite = WorkloadClass::from_suite_tag(meta.suite_tag)
             .map(|c| {
                 format!(
@@ -253,13 +250,16 @@ pub fn execute_info(args: &TraceFileArgs) -> Result<String, CliError> {
 }
 
 /// Executes `trace verify`: fully decodes every file (all CRCs, every
-/// record, the trailer count). Returns one `OK` line per file, or a runtime
-/// error listing every failing file.
+/// record, the trailer count) on the worker pool's thread budget, through
+/// the same [`verify_traces`] loop a `--trace` roster loads with. Returns
+/// one `OK` line per file in argument order, or a runtime error listing
+/// every failing file.
 pub fn execute_verify(args: &TraceFileArgs) -> Result<String, CliError> {
     let mut out = String::new();
     let mut failures = Vec::new();
-    for path in &args.files {
-        match inspect_file(path) {
+    let verified = verify_traces(&args.files, max_threads());
+    for (path, result) in args.files.iter().zip(verified) {
+        match result {
             Ok((meta, stats)) => {
                 let ratio = stats.raw_bytes as f64 / stats.compressed_bytes.max(1) as f64;
                 let _ = writeln!(
@@ -297,11 +297,15 @@ pub fn execute_verify(args: &TraceFileArgs) -> Result<String, CliError> {
 /// single-suite dump (`trace dump fp`) replays FP-only experiments and is
 /// rejected with a clean error — not a mid-run panic — when a selected
 /// experiment needs the missing suite.
+///
+/// The roster's files are verified on `workers` threads (the run's
+/// `--jobs`, else the pool default).
 pub fn install_roster(
     dir: &Path,
     jobs: &[(&str, &[WorkloadClass], ExperimentParams)],
+    workers: Option<usize>,
 ) -> Result<TraceOverrideGuard, CliError> {
-    let roster = TraceRoster::from_dir(dir)
+    let roster = TraceRoster::from_dir(dir, workers.unwrap_or_else(max_threads))
         .map_err(|e| CliError::runtime(format!("--trace {}: {e}", dir.display())))?;
     for (id, classes, params) in jobs {
         for class in *classes {

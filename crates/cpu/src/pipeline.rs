@@ -124,6 +124,10 @@ impl Processor {
     /// through the full cycle loop. Every completed window contributes one
     /// IPC observation to the result's [`SimResult::sampling`] record.
     ///
+    /// The periods are those of [`SamplingSpec::schedule`], so the run
+    /// reads exactly the positions of [`SamplingSpec::read_ranges`] and
+    /// passes over the rest with [`TraceSource::skip_insts`].
+    ///
     /// Deterministic for a given workload/spec: identical invocations
     /// produce byte-identical results.
     pub fn run_sampled(
@@ -139,40 +143,33 @@ impl Processor {
             warmed: 0,
             windows: Vec::new(),
         };
-        let mut consumed = 0u64;
-        while consumed < total_insts {
-            let skip = spec.skip().min(total_insts - consumed);
-            if skip > 0 {
-                let skipped = workload.skip_insts(skip);
+        for period in spec.schedule(total_insts) {
+            if period.skip > 0 {
+                let skipped = workload.skip_insts(period.skip);
                 sampling.skipped += skipped;
-                consumed += skipped;
-                if skipped < skip {
+                if skipped < period.skip {
                     break;
                 }
             }
-            let warm = spec.warmup.min(total_insts - consumed);
-            if warm > 0 {
-                let warmed = self.warm(&mut st, workload, warm);
+            if period.warm > 0 {
+                let warmed = self.warm(&mut st, workload, period.warm);
                 sampling.warmed += warmed;
-                consumed += warmed;
-                if warmed < warm {
+                if warmed < period.warm {
                     break;
                 }
             }
-            let window = spec.window.min(total_insts - consumed);
-            if window == 0 {
+            if period.window == 0 {
                 break;
             }
             let cycles_before = st.last_commit_cycle;
-            let committed = self.run_window(&mut st, workload, window);
-            consumed += committed;
+            let committed = self.run_window(&mut st, workload, period.window);
             if committed > 0 {
                 sampling.windows.push(WindowSample {
                     committed,
                     cycles: st.last_commit_cycle.saturating_sub(cycles_before),
                 });
             }
-            if committed < window {
+            if committed < period.window {
                 break;
             }
         }

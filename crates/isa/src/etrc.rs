@@ -223,32 +223,60 @@ pub struct Checkpoint {
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320, as used by gzip/zlib/PNG)
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, and `CRC_TABLES[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE) of `data`, the checksum every `.etrc` structure uses.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -1063,7 +1091,8 @@ pub struct TraceStats {
 ///
 /// Decodes one block at a time: block framing is read lazily, payloads are
 /// CRC-checked before any record is decoded, and the trailer count is
-/// verified against the number of records actually decoded.
+/// verified against the number of records the reader passed (decoded, or
+/// skipped with [`EtrcReader::skip_insts`]).
 pub struct EtrcReader<R: Read> {
     src: R,
     meta: TraceMeta,
@@ -1075,6 +1104,10 @@ pub struct EtrcReader<R: Read> {
     done: bool,
     checkpoints: Vec<Checkpoint>,
     header_len: u64,
+    /// A block header already read from `src` but not yet acted on: a
+    /// skip that reaches the end-of-blocks marker leaves it here, so the
+    /// next decode still verifies the trailer.
+    peeked: Option<[u8; BLOCK_HEADER_LEN]>,
 }
 
 impl<R: Read> EtrcReader<R> {
@@ -1096,6 +1129,7 @@ impl<R: Read> EtrcReader<R> {
             done: false,
             checkpoints,
             header_len: header_bytes,
+            peeked: None,
         })
     }
 
@@ -1115,10 +1149,19 @@ impl<R: Read> EtrcReader<R> {
         self.stats
     }
 
-    fn load_next_block(&mut self) -> Result<bool, EtrcError> {
+    /// The next block header: the one a skip left peeked, or a fresh read.
+    fn next_block_header(&mut self) -> Result<[u8; BLOCK_HEADER_LEN], EtrcError> {
+        if let Some(header) = self.peeked.take() {
+            return Ok(header);
+        }
         let mut header = [0u8; BLOCK_HEADER_LEN];
         read_exact_or(&mut self.src, &mut header, "block header")?;
         self.stats.file_bytes += BLOCK_HEADER_LEN as u64;
+        Ok(header)
+    }
+
+    fn load_next_block(&mut self) -> Result<bool, EtrcError> {
+        let header = self.next_block_header()?;
         let n_records = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let raw_len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
         let comp_len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
@@ -1250,8 +1293,64 @@ impl<R: Read + Seek> EtrcReader<R> {
         self.records_left = 0;
         self.delta = DeltaState::default();
         self.done = false;
+        self.peeked = None;
         self.stats.insts = entry.insts;
         Ok(entry.insts)
+    }
+
+    /// Skips up to `n` records and returns how many were skipped (fewer
+    /// only when the trace ends first).
+    ///
+    /// The skip jumps to the last checkpoint at or before the target when
+    /// one lies ahead, then passes whole blocks by reading only their
+    /// 17-byte headers and seeking over the payload; at most one block is
+    /// decoded, the one the target falls inside. Skipped blocks are not
+    /// CRC-checked (`trace verify` and [`inspect`] check every block).
+    /// [`TraceStats::insts`] counts skipped records too, so the trailer
+    /// count is still verified, and a skip never consumes the end-of-blocks
+    /// marker: the decode after it reaches the trailer check as usual.
+    pub fn skip_insts(&mut self, n: u64) -> Result<u64, EtrcError> {
+        let start = self.stats.insts;
+        let target = start.saturating_add(n);
+        let ahead = self
+            .checkpoints
+            .iter()
+            .rev()
+            .find(|c| c.insts <= target)
+            .is_some_and(|c| c.insts > start);
+        if ahead {
+            self.seek_to_checkpoint(target)?;
+        }
+        // The rest of the current block is already decoded and checked:
+        // pass over it in memory when the target lies beyond it.
+        let left = u64::from(self.records_left);
+        if left > 0 && target - self.stats.insts >= left {
+            self.stats.insts += left;
+            self.records_left = 0;
+            self.block.clear();
+            self.cursor = 0;
+        }
+        while self.records_left == 0 && !self.done && self.stats.insts < target {
+            let header = self.next_block_header()?;
+            let n_records = u32::from_le_bytes(header[0..4].try_into().unwrap());
+            let comp_len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+            if n_records == 0 || u64::from(n_records) > target - self.stats.insts {
+                // The end marker, or the block the target falls inside:
+                // leave it for the decode below (or the caller's next read).
+                self.peeked = Some(header);
+                break;
+            }
+            self.src.seek(SeekFrom::Current(i64::from(comp_len)))?;
+            self.stats.file_bytes += u64::from(comp_len);
+            self.stats.insts += u64::from(n_records);
+        }
+        if self.peeked.is_some_and(|h| h[0..4] != [0; 4]) {
+            self.load_next_block()?;
+        }
+        while self.stats.insts < target && self.records_left > 0 {
+            self.next_inst()?;
+        }
+        Ok(self.stats.insts - start)
     }
 }
 
@@ -1265,12 +1364,18 @@ impl<R: Read + Seek> EtrcReader<R> {
 /// are re-synthesized from the recorded [`WrongPathSpec`], which reproduces
 /// the generator's wrong-path stream exactly (see [`crate::wrongpath`]).
 ///
+/// [`TraceSource::skip_insts`] is exact and cheap: it jumps through the
+/// version-2 checkpoint directory when a checkpoint lies ahead, passes
+/// whole blocks by their headers alone, and decodes at most the one block
+/// the skip ends inside ([`EtrcReader::skip_insts`]).
+///
 /// # Panics
 ///
-/// [`TraceSource::next_inst`] panics if the file turns out to be corrupt
-/// mid-stream (CRC mismatch, truncation): silently ending the trace early
-/// would skew simulation results, and `elsq-lab trace verify` exists to
-/// check files up front. A clean end of trace returns `None` as usual.
+/// [`TraceSource::next_inst`] and [`TraceSource::skip_insts`] panic if the
+/// file turns out to be corrupt mid-stream (CRC mismatch, truncation):
+/// silently ending the trace early would skew simulation results, and
+/// `elsq-lab trace verify` exists to check files up front. A clean end of
+/// trace returns `None` as usual.
 pub struct FileTrace {
     reader: EtrcReader<BufReader<File>>,
     wrong_path: Option<WrongPathSynth>,
@@ -1309,34 +1414,11 @@ impl TraceSource for FileTrace {
     }
 
     fn skip_insts(&mut self, n: u64) -> u64 {
-        let current = self.reader.stats().insts;
-        let target = current.saturating_add(n);
-        // Seek only when a checkpoint lies strictly ahead of the cursor;
-        // otherwise decode-discard is already the fastest path. Skipped
-        // blocks also skip their CRC checks — `trace verify` is the tool
-        // for whole-file integrity.
-        let best = self
-            .reader
-            .checkpoints()
-            .iter()
-            .rev()
-            .find(|c| c.insts <= target)
-            .copied();
-        if let Some(entry) = best {
-            if entry.insts > current {
-                self.reader
-                    .seek_to_checkpoint(target)
-                    .unwrap_or_else(|e| panic!("corrupt trace {}: {e}", self.path.display()));
-            }
-        }
-        let mut skipped = self.reader.stats().insts - current;
-        while skipped < n {
-            if self.next_inst().is_none() {
-                break;
-            }
-            skipped += 1;
-        }
-        skipped
+        // Checkpoint jump plus header-only block skipping: at most one
+        // block is decoded per skip (see `EtrcReader::skip_insts`).
+        self.reader
+            .skip_insts(n)
+            .unwrap_or_else(|e| panic!("corrupt trace {}: {e}", self.path.display()))
     }
 
     fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
@@ -1773,6 +1855,27 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    #[test]
+    fn slicing_crc_matches_the_bytewise_definition() {
+        let bytewise = |data: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in data {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every length and every alignment of the 8-byte main loop.
+        for start in 0..8 {
+            for end in start..data.len() {
+                let slice = &data[start..end];
+                assert_eq!(crc32(slice), bytewise(slice), "bytes {start}..{end}");
+            }
+        }
+    }
+
     // -- version-2 checkpoint directory ------------------------------------
 
     fn checkpointed_bytes(n: usize, every: u64) -> (Vec<DynInst>, Vec<u8>) {
@@ -1959,5 +2062,119 @@ mod tests {
         assert_eq!(ft.skip_insts(120), 120);
         assert_eq!(ft.next_inst().unwrap(), insts[120]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+    // -- header-only block skipping ------------------------------------------
+
+    /// A 3000-record stream as a v1 image and as a v2 image with a
+    /// checkpoint every 700 records, both in many small blocks.
+    fn skip_images() -> (Vec<DynInst>, Vec<(&'static str, Vec<u8>)>) {
+        let insts = sample_stream(3000);
+        let mut v1 = TraceMeta::named("skip-v1", 0);
+        v1.block_target = 512;
+        let mut v2 = TraceMeta::named("skip-v2", 0).with_checkpoints(700);
+        v2.block_target = 512;
+        let images = vec![
+            ("v1", write_trace(&insts, &v1).unwrap()),
+            ("v2", write_trace(&insts, &v2).unwrap()),
+        ];
+        (insts, images)
+    }
+
+    /// Cumulative record count at the end of each data block of `bytes`.
+    fn block_ends(bytes: &[u8]) -> Vec<u64> {
+        let mut at = EtrcReader::new(bytes).unwrap().header_len as usize;
+        let mut ends = Vec::new();
+        let mut total = 0u64;
+        loop {
+            let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            if n == 0 {
+                return ends;
+            }
+            let comp = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap());
+            total += u64::from(n);
+            ends.push(total);
+            at += BLOCK_HEADER_LEN + comp as usize;
+        }
+    }
+
+    #[test]
+    fn block_skip_ending_on_a_block_boundary_decodes_nothing() {
+        let (insts, images) = skip_images();
+        for (label, bytes) in &images {
+            let ends = block_ends(bytes);
+            assert!(ends.len() > 8, "{label}: only {} blocks", ends.len());
+            for &end in &ends[..ends.len() - 1] {
+                let mut reader = EtrcReader::new(std::io::Cursor::new(bytes)).unwrap();
+                assert_eq!(reader.skip_insts(end).unwrap(), end, "{label}");
+                assert_eq!(reader.stats().insts, end, "{label}");
+                assert_eq!(reader.stats().blocks, 0, "{label}: skip to {end} decoded");
+                assert_eq!(
+                    reader.next_inst().unwrap(),
+                    Some(insts[end as usize]),
+                    "{label}"
+                );
+            }
+            // A skip ending inside a block decodes that block alone, and a
+            // following skip from mid-block reaches a later boundary.
+            let mut reader = EtrcReader::new(std::io::Cursor::new(bytes)).unwrap();
+            let mid = ends[2] + 3;
+            assert_eq!(reader.skip_insts(mid).unwrap(), mid, "{label}");
+            assert_eq!(reader.stats().blocks, 1, "{label}");
+            assert_eq!(reader.skip_insts(ends[5] - mid).unwrap(), ends[5] - mid);
+            assert_eq!(reader.stats().blocks, 1, "{label}");
+            assert_eq!(
+                reader.next_inst().unwrap(),
+                Some(insts[ends[5] as usize]),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_skip_reaching_the_trailer_leaves_the_end_marker() {
+        let (insts, images) = skip_images();
+        let total = insts.len() as u64;
+        for (label, bytes) in &images {
+            for (decoded, skip) in [(0, total), (0, u64::MAX), (10, 5000)] {
+                let mut reader = EtrcReader::new(std::io::Cursor::new(bytes)).unwrap();
+                for inst in &insts[..decoded] {
+                    assert_eq!(reader.next_inst().unwrap().as_ref(), Some(inst));
+                }
+                let skipped = reader.skip_insts(skip).unwrap();
+                assert_eq!(skipped, total - decoded as u64, "{label}");
+                assert_eq!(reader.stats().insts, total, "{label}");
+                assert!(!reader.done, "{label}: the skip consumed the end marker");
+                // The trailer is still read and checked by the next decode.
+                assert_eq!(reader.next_inst().unwrap(), None, "{label}");
+                assert!(reader.done, "{label}");
+                assert_eq!(reader.skip_insts(1).unwrap(), 0, "{label}");
+            }
+        }
+        // With no seek, every framing byte is accounted for.
+        let mut reader = EtrcReader::new(std::io::Cursor::new(&images[0].1)).unwrap();
+        reader.skip_insts(total).unwrap();
+        assert_eq!(reader.next_inst().unwrap(), None);
+        assert_eq!(reader.stats().file_bytes as usize, images[0].1.len());
+    }
+
+    #[test]
+    fn trailer_count_mismatch_is_detected_after_skips() {
+        let (insts, images) = skip_images();
+        for (label, bytes) in &images {
+            let mut bad = bytes.clone();
+            let t = bad.len() - TRAILER_LEN;
+            bad[t + 8..t + 16].copy_from_slice(&(insts.len() as u64 + 1).to_le_bytes());
+            let crc = crc32(&bad[t..t + 16]);
+            bad[t + 16..t + 20].copy_from_slice(&crc.to_le_bytes());
+            let mut reader = EtrcReader::new(std::io::Cursor::new(&bad)).unwrap();
+            reader.skip_insts(1000).unwrap();
+            reader.next_inst().unwrap();
+            reader.skip_insts(10_000).unwrap();
+            let err = reader.next_inst().unwrap_err();
+            assert!(
+                matches!(&err, EtrcError::Corrupt(msg) if msg.contains("trailer declares")),
+                "{label}: got {err}"
+            );
+        }
     }
 }

@@ -28,7 +28,18 @@
 //! A processor run consumes one `next_inst` per committed instruction, so
 //! capturing `max_commits` instructions suffices for any configuration
 //! simulated to `max_commits` commits.
+//!
+//! # Sparse captures
+//!
+//! A sampled run ([`crate::TraceSource::skip_insts`] between detailed
+//! windows) reads only the warm-up and window positions of each sampling
+//! period. [`SharedStream::capture_ranges`] holds just those ranges and
+//! skips the source over the rest, so the capture costs about
+//! `(warmup + window) / period` of a dense one in both decode time and
+//! memory. A cursor that reads a position the capture did not hold panics
+//! rather than hand back the wrong instruction.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::inst::DynInst;
@@ -38,13 +49,31 @@ use crate::wrongpath::{WrongPathSpec, WrongPathSynth};
 /// An immutable captured instruction stream, shareable across threads.
 ///
 /// Construction eagerly drains the source's correct path (bounded by
-/// `max_insts`); the memory cost is `max_insts * size_of::<DynInst>()` per
-/// distinct workload, paid once per batch group instead of once per point.
+/// `max_insts`) into one or more captured segments; the memory cost is
+/// `size_of::<DynInst>()` per captured instruction, paid once per batch
+/// group instead of once per point. A dense capture
+/// ([`SharedStream::capture`]) is a single segment covering the whole
+/// stream.
 #[derive(Debug, Clone)]
 pub struct SharedStream {
     name: String,
+    /// Positions a cursor can pass: the source's length, capped at the
+    /// capture's `max_insts`.
+    len: u64,
+    /// Every captured instruction, segment after segment.
     insts: Vec<DynInst>,
+    /// The captured ranges, in stream order, disjoint and non-adjacent.
+    segments: Vec<Segment>,
     wrong_path: Option<WrongPathSpec>,
+}
+
+/// One captured range: `len` instructions from stream position `start`,
+/// stored at `insts[offset..offset + len]`.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    start: u64,
+    offset: usize,
+    len: usize,
 }
 
 impl SharedStream {
@@ -57,16 +86,85 @@ impl SharedStream {
     /// capture to the maximum number of `next_inst` calls any consumer will
     /// make (one per committed instruction for the processor models).
     pub fn capture(source: &mut dyn TraceSource, max_insts: u64) -> Self {
-        let mut insts = Vec::with_capacity(usize::try_from(max_insts).unwrap_or(0));
-        for _ in 0..max_insts {
-            match source.next_inst() {
-                Some(inst) => insts.push(inst),
-                None => break,
+        Self::capture_ranges(source, max_insts, std::iter::once(0..max_insts))
+    }
+
+    /// Captures only the positions in `ranges` (sorted, disjoint) of the
+    /// first `max_insts` of `source`, skipping the source over everything
+    /// else with [`TraceSource::skip_insts`].
+    ///
+    /// Cursors see a stream of the same length as [`SharedStream::capture`]
+    /// would, so skips report the same counts, but reading a position
+    /// outside `ranges` panics. Sampled runs capture
+    /// `SamplingSpec::read_ranges` from `elsq-stats`, the positions the
+    /// sampled cycle loop reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranges` are out of order or overlap.
+    pub fn capture_ranges(
+        source: &mut dyn TraceSource,
+        max_insts: u64,
+        ranges: impl IntoIterator<Item = Range<u64>>,
+    ) -> Self {
+        let ranges: Vec<Range<u64>> = ranges
+            .into_iter()
+            .map(|r| r.start.min(max_insts)..r.end.min(max_insts))
+            .filter(|r| !r.is_empty())
+            .collect();
+        let held: u64 = ranges.iter().map(|r| r.end - r.start).sum();
+        let mut insts = Vec::with_capacity(usize::try_from(held).unwrap_or(0));
+        let mut segments: Vec<Segment> = Vec::new();
+        let mut pos = 0u64;
+        let mut ended = false;
+        for range in ranges {
+            assert!(
+                range.start >= pos,
+                "capture ranges must be sorted and disjoint ({range:?} after position {pos})"
+            );
+            let gap = range.start - pos;
+            let skipped = source.skip_insts(gap);
+            pos += skipped;
+            if skipped < gap {
+                ended = true;
+                break;
             }
+            let offset = insts.len();
+            while pos < range.end {
+                match source.next_inst() {
+                    Some(inst) => insts.push(inst),
+                    None => {
+                        ended = true;
+                        break;
+                    }
+                }
+                pos += 1;
+            }
+            let len = insts.len() - offset;
+            match segments.last_mut() {
+                // Abutting ranges (a period with no fast-forward) merge.
+                Some(last) if last.start + last.len as u64 == range.start => last.len += len,
+                _ if len > 0 => segments.push(Segment {
+                    start: range.start,
+                    offset,
+                    len,
+                }),
+                _ => {}
+            }
+            if ended {
+                break;
+            }
+        }
+        if !ended && pos < max_insts {
+            // Learn the true stream length past the last range, so skips
+            // there report what the source would have.
+            pos += source.skip_insts(max_insts - pos);
         }
         Self {
             name: source.name().to_owned(),
+            len: pos,
             insts,
+            segments,
             wrong_path: source.wrong_path_spec(),
         }
     }
@@ -76,14 +174,21 @@ impl SharedStream {
         &self.name
     }
 
-    /// Number of captured correct-path instructions.
+    /// Length of the stream: the positions a cursor can pass, whether
+    /// captured or skipped over.
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.len as usize
     }
 
-    /// Whether the capture holds no instructions.
+    /// Whether the stream holds no positions.
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.len == 0
+    }
+
+    /// Number of instructions the capture holds in memory (equal to
+    /// [`SharedStream::len`] for a dense capture).
+    pub fn captured(&self) -> usize {
+        self.insts.len()
     }
 
     /// The captured wrong-path spec, if the source had one.
@@ -97,7 +202,9 @@ impl SharedStream {
         SharedCursor {
             synth: self.wrong_path.map(WrongPathSynth::from_spec),
             stream: Arc::clone(self),
-            pos: 0,
+            next: 0,
+            end: 0,
+            origin: 0,
         }
     }
 }
@@ -110,28 +217,84 @@ impl SharedStream {
 /// configuration and the synthesizer is stateful. Sources without a spec
 /// fall back to [`default_wrong_path_inst`], exactly as the
 /// [`TraceSource`] default does.
+///
+/// # Panics
+///
+/// [`TraceSource::next_inst`] panics at a position a sparse capture
+/// ([`SharedStream::capture_ranges`]) did not hold.
 #[derive(Debug, Clone)]
 pub struct SharedCursor {
     stream: Arc<SharedStream>,
-    pos: usize,
+    /// Index into the captured instructions of the next read; the reads
+    /// up to `end` are served without a segment lookup.
+    next: usize,
+    /// End of the run of captured instructions `next` is walking.
+    end: usize,
+    /// Stream position of captured index 0 for that run (wrapping), so the
+    /// stream position of the next read is `origin + next`.
+    origin: u64,
     synth: Option<WrongPathSynth>,
+}
+
+impl SharedCursor {
+    /// Stream position of the next read.
+    fn pos(&self) -> u64 {
+        self.origin.wrapping_add(self.next as u64)
+    }
+
+    /// Detaches from the current run: the next read looks `pos` up.
+    fn jump_to(&mut self, pos: u64) {
+        self.origin = pos;
+        self.next = 0;
+        self.end = 0;
+    }
+
+    /// Points the cursor at the segment holding its position; false at the
+    /// end of the stream.
+    fn enter_segment(&mut self) -> bool {
+        let stream = &*self.stream;
+        let pos = self.pos();
+        if pos >= stream.len {
+            return false;
+        }
+        let at = stream.segments.partition_point(|s| s.start <= pos);
+        let seg = at
+            .checked_sub(1)
+            .map(|i| stream.segments[i])
+            .filter(|s| pos - s.start < s.len as u64)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}: stream position {pos} was not captured (a sparse capture holds only \
+                     the ranges it was built for)",
+                    stream.name
+                )
+            });
+        self.next = seg.offset + (pos - seg.start) as usize;
+        self.end = seg.offset + seg.len;
+        self.origin = seg.start.wrapping_sub(seg.offset as u64);
+        true
+    }
 }
 
 impl TraceSource for SharedCursor {
     fn next_inst(&mut self) -> Option<DynInst> {
-        let inst = self.stream.insts.get(self.pos).copied();
-        if inst.is_some() {
-            self.pos += 1;
+        if self.next == self.end && !self.enter_segment() {
+            return None;
         }
-        inst
+        let inst = self.stream.insts[self.next];
+        self.next += 1;
+        Some(inst)
     }
 
     fn skip_insts(&mut self, n: u64) -> u64 {
         // The capture is random-access: a skip is a bounded position jump.
-        let n = usize::try_from(n).unwrap_or(usize::MAX);
-        let skipped = n.min(self.stream.insts.len() - self.pos);
-        self.pos += skipped;
-        skipped as u64
+        let pos = self.pos();
+        let skipped = n.min(self.stream.len - pos);
+        match usize::try_from(skipped) {
+            Ok(s) if s <= self.end - self.next => self.next += s,
+            _ => self.jump_to(pos + skipped),
+        }
+        skipped
     }
 
     fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
@@ -254,5 +417,74 @@ mod tests {
             assert_eq!(a.wrong_path_inst(pc), want);
             assert_eq!(b.wrong_path_inst(pc), want);
         }
+    }
+    #[test]
+    fn sparse_capture_holds_only_its_ranges() {
+        let insts = mk(100);
+        let mut src = VecTrace::new(insts.clone());
+        let stream = Arc::new(SharedStream::capture_ranges(
+            &mut src,
+            90,
+            [10..20, 20..25, 50..60],
+        ));
+        assert_eq!(stream.len(), 90, "the stream keeps its full length");
+        assert_eq!(stream.captured(), 25);
+        assert_eq!(stream.segments.len(), 2, "abutting ranges merge");
+        assert_eq!(src.remaining(), 10, "the source was skipped to max_insts");
+        let mut c = stream.cursor();
+        assert_eq!(c.skip_insts(10), 10);
+        for inst in &insts[10..25] {
+            assert_eq!(c.next_inst().as_ref(), Some(inst));
+        }
+        assert_eq!(c.skip_insts(27), 27);
+        assert_eq!(c.next_inst(), Some(insts[52]));
+        assert_eq!(c.skip_insts(3), 3);
+        assert_eq!(c.next_inst(), Some(insts[56]));
+        assert_eq!(c.skip_insts(1_000), 33, "skips clamp at the stream length");
+        assert!(c.next_inst().is_none());
+    }
+
+    #[test]
+    fn sparse_capture_of_a_short_source_keeps_its_true_length() {
+        let insts = mk(30);
+        for (ranges, held) in [(vec![5..10, 20..40], 15), (vec![5..10, 40..50], 5)] {
+            let mut src = VecTrace::new(insts.clone());
+            let stream = Arc::new(SharedStream::capture_ranges(&mut src, 100, ranges));
+            assert_eq!(stream.len(), 30);
+            assert_eq!(stream.captured(), held);
+            let mut c = stream.cursor();
+            assert_eq!(c.skip_insts(5), 5);
+            assert_eq!(c.next_inst(), Some(insts[5]));
+            assert_eq!(c.skip_insts(100), 24, "only the source's own positions");
+        }
+    }
+
+    #[test]
+    fn dense_capture_is_one_segment() {
+        let mut src = VecTrace::new(mk(40));
+        let stream = SharedStream::capture(&mut src, 40);
+        assert_eq!(stream.segments.len(), 1);
+        assert_eq!((stream.len(), stream.captured()), (40, 40));
+    }
+
+    #[test]
+    #[should_panic(expected = "stream position 7 was not captured")]
+    fn reading_an_uncaptured_position_panics() {
+        let mut src = VecTrace::with_name(mk(20), "sparse");
+        let stream = Arc::new(SharedStream::capture_ranges(&mut src, 20, [2..5, 10..12]));
+        let mut c = stream.cursor();
+        c.skip_insts(2);
+        for _ in 0..3 {
+            c.next_inst().unwrap();
+        }
+        c.skip_insts(2);
+        c.next_inst();
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint")]
+    fn overlapping_ranges_are_refused() {
+        let mut src = VecTrace::new(mk(20));
+        SharedStream::capture_ranges(&mut src, 20, [2..8, 5..10]);
     }
 }

@@ -229,15 +229,6 @@ pub fn result_cache() -> Option<Arc<ResultStore>> {
         .clone()
 }
 
-/// The suite every `run_suite*` call simulates: the installed trace
-/// override's recorded streams, or the generators.
-///
-/// # Panics
-///
-/// Panics if an installed roster cannot stand in for `suite(class,
-/// params.seed)` over `params.commits` commits (wrong seed, short or
-/// missing traces). `elsq-lab` validates rosters up front and reports the
-/// same message as a clean CLI error instead.
 /// Runs one pipeline instance over one workload under `params` — the single
 /// seam where a sampling spec switches the detailed cycle loop
 /// ([`Processor::run`]) for SMARTS-style systematic sampling
@@ -255,6 +246,15 @@ fn simulate(
     }
 }
 
+/// The suite every `run_suite*` call simulates: the installed trace
+/// override's recorded streams, or the generators.
+///
+/// # Panics
+///
+/// Panics if an installed roster cannot stand in for `suite(class,
+/// params.seed)` over `params.commits` commits (wrong seed, short or
+/// missing traces). `elsq-lab` validates rosters up front and reports the
+/// same message as a clean CLI error instead.
 fn build_suite(class: WorkloadClass, params: &ExperimentParams) -> Vec<Box<dyn TraceSource>> {
     match trace_override() {
         Some(roster) => {
@@ -277,6 +277,13 @@ fn build_suite(class: WorkloadClass, params: &ExperimentParams) -> Vec<Box<dyn T
 /// [`SharedStream`]s of up to `params.commits` correct-path instructions
 /// each, in suite order.
 ///
+/// A sampled run (`params.sample`) reads only the warm-up and window
+/// positions of each period, so its capture is sparse: it holds exactly
+/// the spec's `read_ranges` and skips the source over the rest (for a
+/// checkpointed `.etrc` replay, without decoding the skipped blocks).
+/// Cursors over it must only be driven by [`Processor::run_sampled`] under
+/// the same spec and budget.
+///
 /// This is the setup half of a batched run, exposed so callers that time
 /// simulation (the `elsq-lab bench` subcommand) can capture outside the
 /// measured window and drive pipelines off cursors alone.
@@ -290,7 +297,15 @@ pub fn capture_class_suite(
     params: &ExperimentParams,
 ) -> Vec<Arc<SharedStream>> {
     parallel_map(build_suite(class, params), |mut workload| {
-        Arc::new(SharedStream::capture(workload.as_mut(), params.commits))
+        let source = workload.as_mut();
+        Arc::new(match params.sample {
+            Some(spec) => SharedStream::capture_ranges(
+                source,
+                params.commits,
+                spec.read_ranges(params.commits),
+            ),
+            None => SharedStream::capture(source, params.commits),
+        })
     })
 }
 

@@ -40,4 +40,4 @@ pub use counters::{LsqAccessCounters, SimCounters};
 pub use diff::{degraded_cells, diff_reports, DiffOutcome};
 pub use energy::{EnergyModel, StructureKind, StructureSpec};
 pub use report::{Cell, ExperimentParams, Report, Table};
-pub use sampling::{SamplingSpec, SamplingStats, WindowSample};
+pub use sampling::{SamplePeriod, SamplingSpec, SamplingStats, WindowSample};

@@ -23,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// The z-score of a two-sided 95% confidence interval.
 pub const Z_95: f64 = 1.96;
@@ -91,6 +92,64 @@ impl SamplingSpec {
     pub fn skip(&self) -> u64 {
         self.period - self.warmup - self.window
     }
+
+    /// The periods a sampled run over a budget of `total` instructions
+    /// walks, in stream order, each phase clipped to what is left of the
+    /// budget. The last period may be partial; the walk ends after the
+    /// first period whose window is clipped to zero.
+    ///
+    /// This is the one definition of the sampling schedule: the sampled
+    /// cycle loop follows it, and [`SamplingSpec::read_ranges`] derives
+    /// the positions a sparse stream capture must hold from it.
+    pub fn schedule(&self, total: u64) -> impl Iterator<Item = SamplePeriod> {
+        let spec = *self;
+        let mut start = 0u64;
+        let mut ended = false;
+        std::iter::from_fn(move || {
+            if ended || start >= total {
+                return None;
+            }
+            let mut left = total - start;
+            let skip = spec.skip().min(left);
+            left -= skip;
+            let warm = spec.warmup.min(left);
+            left -= warm;
+            let window = spec.window.min(left);
+            let period = SamplePeriod {
+                start,
+                skip,
+                warm,
+                window,
+            };
+            start += skip + warm + window;
+            ended = window == 0;
+            Some(period)
+        })
+    }
+
+    /// The stream positions a sampled run over `total` instructions reads
+    /// with `next_inst`: the warm-up plus window of every period of
+    /// [`SamplingSpec::schedule`], in order. Fast-forwarded positions are
+    /// never read, so a capture of only these ranges serves the run.
+    pub fn read_ranges(&self, total: u64) -> impl Iterator<Item = Range<u64>> {
+        self.schedule(total)
+            .map(|p| p.start + p.skip..p.start + p.skip + p.warm + p.window)
+            .filter(|r| !r.is_empty())
+    }
+}
+
+/// One period of a sampled run's schedule ([`SamplingSpec::schedule`]):
+/// its first stream position and the length of each phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SamplePeriod {
+    /// Stream position at which the period starts.
+    pub start: u64,
+    /// Instructions fast-forwarded.
+    pub skip: u64,
+    /// Instructions functionally warmed.
+    pub warm: u64,
+    /// Instructions simulated in detail.
+    pub window: u64,
 }
 
 impl fmt::Display for SamplingSpec {
@@ -236,6 +295,54 @@ mod tests {
         // detailed).
         assert!(SamplingSpec::parse("100:100").is_ok());
         assert!(SamplingSpec::parse("100:80:20").is_ok());
+    }
+
+    #[test]
+    fn schedule_clips_the_last_period_to_the_budget() {
+        let spec = SamplingSpec::new(10, 3, 2).unwrap();
+        let period = |start, skip, warm, window| SamplePeriod {
+            start,
+            skip,
+            warm,
+            window,
+        };
+        let walk: Vec<SamplePeriod> = spec.schedule(28).collect();
+        assert_eq!(
+            walk,
+            [period(0, 5, 2, 3), period(10, 5, 2, 3), period(20, 5, 2, 1)]
+        );
+        let ranges: Vec<_> = spec.read_ranges(28).collect();
+        assert_eq!(ranges, [5..10, 15..20, 25..28]);
+        // A budget ending inside a fast-forward: the walk stops there and
+        // reads nothing past the last full window.
+        let walk: Vec<SamplePeriod> = spec.schedule(24).collect();
+        assert_eq!(walk.last(), Some(&period(20, 4, 0, 0)));
+        assert_eq!(spec.read_ranges(24).count(), 2);
+        assert_eq!(spec.schedule(0).count(), 0);
+    }
+
+    #[test]
+    fn schedule_covers_the_budget_with_ordered_reads() {
+        for (period, window, warmup) in [(7, 1, 0), (7, 7, 0), (50, 5, 10), (13, 4, 9)] {
+            let spec = SamplingSpec::new(period, window, warmup).unwrap();
+            for total in [0, 1, 6, 7, 8, 49, 50, 51, 333] {
+                let walk: Vec<SamplePeriod> = spec.schedule(total).collect();
+                let covered: u64 = walk.iter().map(|p| p.skip + p.warm + p.window).sum();
+                assert_eq!(covered, total, "{spec} over {total}");
+                let mut end = 0;
+                for r in spec.read_ranges(total) {
+                    assert!(r.start >= end && r.start < r.end && r.end <= total);
+                    end = r.end;
+                }
+            }
+        }
+        // A hand-built degenerate spec still ends its walk.
+        let empty = SamplingSpec {
+            period: 0,
+            window: 0,
+            warmup: 0,
+        };
+        assert_eq!(empty.schedule(100).count(), 1);
     }
 
     #[test]

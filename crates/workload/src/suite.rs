@@ -13,9 +13,10 @@
 //! byte-identical to generator runs.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use elsq_isa::etrc::{self, FileTrace, TraceMeta};
+use elsq_isa::etrc::{self, EtrcError, FileTrace, TraceMeta, TraceStats};
 use elsq_isa::{SharedStream, TraceSource};
 
 use crate::compress::CompressInt;
@@ -168,13 +169,55 @@ pub struct RosterEntry {
     pub insts: u64,
 }
 
+/// Fully decodes every file of `paths` (every CRC, every record and the
+/// trailer count, as [`etrc::inspect`]) on up to `workers` threads, and
+/// returns each file's header metadata and statistics, or its error, in
+/// the order of `paths` whatever the thread timing.
+///
+/// This is the one verification loop: [`TraceRoster::from_dir`] and
+/// `elsq-lab trace verify|info` all run it.
+pub fn verify_traces(
+    paths: &[PathBuf],
+    workers: usize,
+) -> Vec<Result<(TraceMeta, TraceStats), EtrcError>> {
+    let verify = |path: &PathBuf| {
+        let file = std::fs::File::open(path)?;
+        etrc::inspect(std::io::BufReader::new(file))
+    };
+    let workers = workers.clamp(1, paths.len().max(1));
+    let next = AtomicUsize::new(0);
+    let mut verified: Vec<(usize, Result<(TraceMeta, TraceStats), EtrcError>)> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(path) = paths.get(i) else {
+                                return done;
+                            };
+                            done.push((i, verify(path)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("trace verification worker panicked"))
+                .collect()
+        });
+    verified.sort_by_key(|&(i, _)| i);
+    verified.into_iter().map(|(_, result)| result).collect()
+}
+
 /// A set of recorded suite traces that can stand in for the generator
 /// roster.
 ///
 /// Built by [`TraceRoster::from_dir`], which fully decodes every `.etrc`
-/// file it finds (all CRCs and the trailer count are checked up front, so a
-/// roster that loads cannot fail mid-simulation) and orders members by
-/// their recorded suite slot.
+/// file it finds (all CRCs and the trailer count are checked up front, on
+/// the run's worker threads, so a roster that loads cannot fail
+/// mid-simulation) and orders members by their recorded suite slot.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRoster {
     fp: Vec<RosterEntry>,
@@ -182,12 +225,14 @@ pub struct TraceRoster {
 }
 
 impl TraceRoster {
-    /// Loads and verifies every `*.etrc` file in `dir`.
+    /// Loads and verifies every `*.etrc` file in `dir`, decoding files in
+    /// parallel on up to `workers` threads ([`verify_traces`]).
     ///
     /// Files must carry a suite tag and a unique slot index per class
     /// (`elsq-lab trace dump` writes them); slots must be contiguous from
-    /// zero so a replayed suite has no holes.
-    pub fn from_dir(dir: &Path) -> Result<Self, String> {
+    /// zero so a replayed suite has no holes. Errors name the first bad
+    /// file in sorted-path order, whatever the thread timing.
+    pub fn from_dir(dir: &Path, workers: usize) -> Result<Self, String> {
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
             .map_err(|e| format!("cannot read trace directory {}: {e}", dir.display()))?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -197,12 +242,10 @@ impl TraceRoster {
         if paths.is_empty() {
             return Err(format!("no .etrc files in {}", dir.display()));
         }
+        let verified = verify_traces(&paths, workers);
         let mut roster = Self::default();
-        for path in paths {
-            let file = std::fs::File::open(&path)
-                .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-            let (meta, stats) = etrc::inspect(std::io::BufReader::new(file))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+        for (path, result) in paths.into_iter().zip(verified) {
+            let (meta, stats) = result.map_err(|e| format!("{}: {e}", path.display()))?;
             let class = WorkloadClass::from_suite_tag(meta.suite_tag).ok_or_else(|| {
                 format!(
                     "{}: trace carries no suite tag; re-dump it with `elsq-lab trace dump`",
@@ -396,7 +439,7 @@ mod tests {
     fn roster_loads_validates_and_replays_generator_streams() {
         let dir = std::env::temp_dir().join(format!("elsq-roster-{}", std::process::id()));
         dump_suites(&dir, 5, 300);
-        let roster = TraceRoster::from_dir(&dir).unwrap();
+        let roster = TraceRoster::from_dir(&dir, 2).unwrap();
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
             assert_eq!(roster.members(class).len(), SUITE_SIZE);
             roster.validate(class, 5, 300).unwrap();
@@ -433,9 +476,12 @@ mod tests {
         dump_suites(&dir, 3, 50);
         // Remove a middle slot: the hole must be reported.
         std::fs::remove_file(dir.join("fp-2.etrc")).unwrap();
-        let err = TraceRoster::from_dir(&dir).unwrap_err();
+        let err = TraceRoster::from_dir(&dir, 2).unwrap_err();
         assert!(err.contains("hole"), "unexpected error: {err}");
         std::fs::remove_dir_all(&dir).ok();
-        assert!(TraceRoster::from_dir(&dir).is_err(), "missing dir accepted");
+        assert!(
+            TraceRoster::from_dir(&dir, 2).is_err(),
+            "missing dir accepted"
+        );
     }
 }

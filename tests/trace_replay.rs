@@ -56,7 +56,7 @@ fn recorded_replay_matches_generator_run_on_every_driver_path() {
     };
     let dir = tmp_dir("driver");
     dump_suites(&dir, params.seed, params.commits);
-    let roster = Arc::new(TraceRoster::from_dir(&dir).unwrap());
+    let roster = Arc::new(TraceRoster::from_dir(&dir, 2).unwrap());
 
     for config in [CpuConfig::ooo64(), CpuConfig::fmc_hash(true)] {
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
@@ -89,7 +89,7 @@ fn replay_is_stable_across_reopens_and_override_restores() {
     };
     let dir = tmp_dir("stable");
     dump_suites(&dir, params.seed, params.commits);
-    let roster = Arc::new(TraceRoster::from_dir(&dir).unwrap());
+    let roster = Arc::new(TraceRoster::from_dir(&dir, 2).unwrap());
     let config = CpuConfig::fmc_line(false);
 
     let guard = install_trace_override(Arc::clone(&roster));
