@@ -2,7 +2,10 @@
 
 fn main() {
     let start = std::time::Instant::now();
-    let table = elsq_sim::experiments::fig7::run(&elsq_bench::bench_params());
+    let table = elsq_sim::experiments::fig7::run(
+        &elsq_sim::RunCtx::from_env(),
+        &elsq_bench::bench_params(),
+    );
     println!("{table}");
     println!("fig7_speedup: regenerated in {:.2?}", start.elapsed());
 }

@@ -12,8 +12,8 @@
 //!
 //! Workload setup is **excluded** from the timed window: both suites are
 //! captured into [`elsq_isa::SharedStream`]s up front (through
-//! [`elsq_sim::driver::capture_class_suite`], so an installed trace
-//! override is honored) and each case's timer wraps only the
+//! [`elsq_sim::driver::capture_class_suite`], so a `--trace` roster in the
+//! run context is honored) and each case's timer wraps only the
 //! `Processor::run` calls over private cursors. Generator-driven and
 //! trace-replay benches therefore measure the same thing — pipeline
 //! throughput — and their rates are directly comparable.
@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use elsq_cpu::config::CpuConfig;
 use elsq_cpu::pipeline::Processor;
-use elsq_sim::driver::capture_class_suite;
+use elsq_sim::driver::{capture_class_suite, RunCtx};
 use elsq_stats::report::{Cell, ExperimentParams, Table};
 use elsq_stats::sampling::SamplingSpec;
 use elsq_workload::suite::WorkloadClass;
@@ -198,17 +198,17 @@ pub const BENCH_SEED: u64 = 7;
 
 /// Runs the full roster sequentially and returns the measured report.
 ///
-/// Suite capture (generation, or `.etrc` decode under a trace override)
+/// Suite capture (generation, or `.etrc` decode of the context's roster)
 /// happens once per class before any timer starts; each case's timed
 /// window covers only the pipeline runs over shared-stream cursors.
-pub fn run_bench(params: &BenchParams) -> BenchReport {
+pub fn run_bench(ctx: &RunCtx, params: &BenchParams) -> BenchReport {
     let sim_params = ExperimentParams {
         commits: params.commits,
         seed: params.seed,
         sample: None,
     };
-    let fp = capture_class_suite(WorkloadClass::Fp, &sim_params);
-    let int = capture_class_suite(WorkloadClass::Int, &sim_params);
+    let fp = capture_class_suite(ctx, WorkloadClass::Fp, &sim_params);
+    let int = capture_class_suite(ctx, WorkloadClass::Int, &sim_params);
     let mut cases = Vec::new();
     let mut total_committed = 0u64;
     let mut total_secs = 0.0f64;
@@ -356,13 +356,15 @@ mod tests {
 
     #[test]
     fn bench_runs_and_serializes() {
-        let _serial = crate::cli::run_lock();
-        let report = run_bench(&BenchParams {
-            commits: 300,
-            seed: 7,
-            label: "unit".into(),
-            sample: None,
-        });
+        let report = run_bench(
+            &RunCtx::new(2),
+            &BenchParams {
+                commits: 300,
+                seed: 7,
+                label: "unit".into(),
+                sample: None,
+            },
+        );
         assert_eq!(report.cases.len(), roster().len());
         for case in &report.cases {
             assert!(case.committed > 0);
@@ -377,15 +379,14 @@ mod tests {
 
     #[test]
     fn bench_results_are_deterministic_across_runs() {
-        let _serial = crate::cli::run_lock();
         let params = BenchParams {
             commits: 300,
             seed: 7,
             label: "det".into(),
             sample: None,
         };
-        let a = run_bench(&params);
-        let b = run_bench(&params);
+        let a = run_bench(&RunCtx::new(2), &params);
+        let b = run_bench(&RunCtx::new(2), &params);
         // Wall time differs; the simulated columns must not.
         for (x, y) in a.cases.iter().zip(&b.cases) {
             assert_eq!((x.committed, x.cycles), (y.committed, y.cycles), "{}", x.id);
@@ -399,7 +400,6 @@ mod tests {
     /// the measurement.
     #[test]
     fn trace_replay_bench_agrees_with_generator_bench() {
-        let _serial = crate::cli::run_lock();
         let dir = std::env::temp_dir().join(format!("elsq-bench-replay-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         crate::trace::execute_dump(&crate::trace::TraceDumpArgs {
@@ -417,8 +417,8 @@ mod tests {
             label: "replay".into(),
             sample: None,
         };
-        let generated = run_bench(&params);
-        let guard = crate::trace::install_roster(
+        let generated = run_bench(&RunCtx::new(2), &params);
+        let roster = crate::trace::load_roster(
             &dir,
             &[(
                 "bench",
@@ -429,11 +429,16 @@ mod tests {
                     sample: None,
                 },
             )],
-            None,
+            2,
         )
         .unwrap();
-        let replayed = run_bench(&params);
-        drop(guard);
+        let replayed = run_bench(
+            &RunCtx {
+                source: Some(std::sync::Arc::new(roster)),
+                ..RunCtx::new(2)
+            },
+            &params,
+        );
         for (g, r) in generated.cases.iter().zip(&replayed.cases) {
             assert_eq!(g.id, r.id);
             assert_eq!(
@@ -463,13 +468,15 @@ mod tests {
     /// rather than wall-clock (which is noise on loaded test hosts).
     #[test]
     fn sampled_case_covers_the_stream_with_a_fraction_of_the_cycles() {
-        let _serial = crate::cli::run_lock();
-        let report = run_bench(&BenchParams {
-            commits: 2_000,
-            seed: 7,
-            label: "sampled".into(),
-            sample: None,
-        });
+        let report = run_bench(
+            &RunCtx::new(2),
+            &BenchParams {
+                commits: 2_000,
+                seed: 7,
+                label: "sampled".into(),
+                sample: None,
+            },
+        );
         let full = report.cases.iter().find(|c| c.id == "ooo64/fp").unwrap();
         let sampled = report
             .cases

@@ -19,11 +19,11 @@ use std::sync::Arc;
 use elsq_serve::client::{self, ClientConfig};
 use elsq_serve::protocol::Event;
 use elsq_serve::{ServeConfig, Server};
-use elsq_sim::driver::install_result_cache;
+use elsq_sim::driver::RunCtx;
 use elsq_sim::experiments::{registry, run_experiments, Experiment};
 use elsq_sim::fault::FaultPlan;
 use elsq_sim::install_fault_plan;
-use elsq_sim::scenario::{run_plan, run_plan_each, sweep_report, Axis, ScenarioSpec, SweepPlan};
+use elsq_sim::scenario::{run_plan, sweep_report, Axis, ScenarioSpec, SweepPlan};
 use elsq_sim::store::ResultStore;
 use elsq_sim::suite::{evaluate, Status, Suite, SuiteOutcome};
 use elsq_stats::report::{ExperimentParams, Report};
@@ -74,10 +74,10 @@ RUN OPTIONS:
     --seed N           override the workload generator seed
     --format FORMAT    text | csv | json (default: text)
     --out DIR          write one file per experiment into DIR
-    --jobs N           cap worker threads per fan-out level (sets
-                       ELSQ_THREADS; nested suite fan-outs budget
-                       separately, so total live threads can exceed N —
-                       --jobs 1 is exactly sequential)
+    --jobs N           cap worker threads per fan-out level (default:
+                       ELSQ_THREADS, else every core; nested suite
+                       fan-outs budget separately, so total live threads
+                       can exceed N — --jobs 1 is exactly sequential)
     --sequential       run experiments one after another (suites still
                        parallel); with --jobs 1, fully sequential
     --trace DIR        replay recorded .etrc traces from DIR (written by
@@ -109,9 +109,6 @@ SWEEP OPTIONS:
     --name NAME        scenario name for ad-hoc grids (default: adhoc)
     --quick            quick preset (5k commits) instead of the sweep
                        preset (30k)
-    --no-batch         run grid points one at a time instead of batching
-                       same-class points over a shared captured stream
-                       (results and cache keys are identical either way)
     --fault-plan FILE  install a fault-injection plan for the run (see
                        docs/ROBUSTNESS.md; overrides the FAULT_PLAN env
                        var); a sweep whose points fail completes with a
@@ -262,7 +259,7 @@ pub struct RunArgs {
     pub format: OutputFormat,
     /// Output directory (one file per experiment) instead of stdout.
     pub out: Option<PathBuf>,
-    /// Worker-thread cap (exported as `ELSQ_THREADS`).
+    /// Worker-thread cap per fan-out level (default: `ELSQ_THREADS`).
     pub jobs: Option<usize>,
     /// Disable the experiment-level fan-out.
     pub sequential: bool,
@@ -306,13 +303,10 @@ pub struct SweepArgs {
     /// Output directory (the report is written as one file) instead of
     /// stdout.
     pub out: Option<PathBuf>,
-    /// Worker-thread cap (exported as `ELSQ_THREADS`).
+    /// Worker-thread cap per fan-out level (default: `ELSQ_THREADS`).
     pub jobs: Option<usize>,
     /// Replay recorded `.etrc` traces from this directory.
     pub trace: Option<PathBuf>,
-    /// Run points one at a time instead of batching same-class points over
-    /// a shared captured stream.
-    pub no_batch: bool,
     /// Fault plan file to install for the run (`--fault-plan`; overrides
     /// the `FAULT_PLAN` environment variable).
     pub fault_plan: Option<PathBuf>,
@@ -367,7 +361,7 @@ pub struct TestArgs {
     pub cache: Option<PathBuf>,
     /// Allow reusing a cache directory that already holds points.
     pub resume: bool,
-    /// Worker-thread cap (exported as `ELSQ_THREADS`).
+    /// Worker-thread cap per fan-out level (default: `ELSQ_THREADS`).
     pub jobs: Option<usize>,
     /// Output format (text or json; csv is rejected at parse time).
     pub format: OutputFormat,
@@ -384,8 +378,8 @@ pub struct ServeArgs {
     pub store: PathBuf,
     /// Allow reopening a store that already holds cached points.
     pub resume: bool,
-    /// Worker-thread cap (exported as `ELSQ_THREADS`) for the daemon's
-    /// lifetime.
+    /// Worker-thread cap per fan-out level for the daemon's lifetime
+    /// (default: `ELSQ_THREADS`).
     pub jobs: Option<usize>,
     /// Per-job progress watchdog in seconds (`--watchdog`; off by
     /// default): a job that completes no point for this long is marked
@@ -847,7 +841,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
         out: None,
         jobs: None,
         trace: None,
-        no_batch: false,
         fault_plan: None,
         sample: None,
     };
@@ -879,7 +872,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
             }
             "--trace" => sweep.trace = Some(PathBuf::from(value_of("--trace")?)),
             "--sample" => sweep.sample = Some(parse_sample(value_of("--sample")?)?),
-            "--no-batch" => sweep.no_batch = true,
             "--fault-plan" => sweep.fault_plan = Some(PathBuf::from(value_of("--fault-plan")?)),
             other => {
                 return Err(CliError::usage(format!(
@@ -993,7 +985,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
         out: None,
         jobs: None,
         trace: None,
-        no_batch: false,
         fault_plan: None,
         sample: None,
     };
@@ -1248,58 +1239,31 @@ pub fn list_output() -> String {
     out
 }
 
-/// Serializes in-process runs under test: the unit tests drive the execute
-/// functions in-process and libtest runs them in parallel, but the
-/// `--trace` and `--cache` overrides are process-global (and `run_suite`
-/// panics on a mismatch against an installed roster), so one test's
-/// override window must never observe another test's parameters.
-#[cfg(test)]
-pub(crate) fn run_lock() -> std::sync::MutexGuard<'static, ()> {
-    static RUN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    RUN_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs `f` with `ELSQ_THREADS` pinned to `jobs` (when set).
-///
-/// The pool reads `ELSQ_THREADS` at every fan-out, so `--jobs` caps each
-/// level (experiments, and each suite inside one) rather than the whole
-/// process — `--jobs 1` is exactly sequential, larger values are a
-/// per-level budget. The previous value is restored afterwards so the cap
-/// cannot leak into later invocations from the same process (e.g. the
-/// in-process tests).
-fn with_jobs<R>(jobs: Option<usize>, f: impl FnOnce() -> R) -> R {
-    let saved = jobs.map(|jobs| {
-        let previous = std::env::var("ELSQ_THREADS").ok();
-        std::env::set_var("ELSQ_THREADS", jobs.to_string());
-        previous
-    });
-    let result = f();
-    if let Some(previous) = saved {
-        match previous {
-            Some(value) => std::env::set_var("ELSQ_THREADS", value),
-            None => std::env::remove_var("ELSQ_THREADS"),
-        }
-    }
-    result
-}
-
-/// Opens `--cache DIR` (honouring `--resume`) and installs it as the
-/// process-global result store for the duration of the returned guards.
-fn open_cache(
-    cache: &Option<PathBuf>,
+/// Builds an invocation's [`RunCtx`]: `--jobs` workers per fan-out level
+/// (default `ELSQ_THREADS`, else every core), the `--trace` roster loaded
+/// and validated against every `(id, classes, params)` job that will
+/// replay it, and the `--cache` store (honouring `--resume`).
+fn run_ctx(
+    jobs: Option<usize>,
+    trace: Option<&std::path::Path>,
+    replays: &[(&str, &[WorkloadClass], ExperimentParams)],
+    cache: Option<&std::path::Path>,
     resume: bool,
-) -> Result<Option<(Arc<ResultStore>, elsq_sim::driver::ResultCacheGuard)>, CliError> {
-    let Some(dir) = cache else {
-        return Ok(None);
-    };
-    let store = Arc::new(
-        ResultStore::open(dir, resume)
-            .map_err(|e| CliError::runtime(format!("--cache {}: {e}", dir.display())))?,
-    );
-    let guard = install_result_cache(Arc::clone(&store));
-    Ok(Some((store, guard)))
+) -> Result<RunCtx, CliError> {
+    let mut ctx = jobs.map_or_else(RunCtx::from_env, RunCtx::new);
+    if let Some(dir) = trace {
+        ctx.source = Some(Arc::new(crate::trace::load_roster(
+            dir,
+            replays,
+            ctx.workers,
+        )?));
+    }
+    if let Some(dir) = cache {
+        ctx.cache = Some(Arc::new(ResultStore::open(dir, resume).map_err(|e| {
+            CliError::runtime(format!("--cache {}: {e}", dir.display()))
+        })?));
+    }
+    Ok(ctx)
 }
 
 /// The `cache: H hit(s), M miss(es)` summary line printed after cached
@@ -1316,30 +1280,25 @@ fn cache_summary(store: &ResultStore) -> String {
 
 /// Executes a run and returns the produced reports (in selection order).
 pub fn execute_run(run: &RunArgs) -> Result<Vec<Report>, CliError> {
-    #[cfg(test)]
-    let _serial = run_lock();
     let experiments = select_experiments(run)?;
     let jobs: Vec<(&'static dyn Experiment, ExperimentParams)> = experiments
         .into_iter()
         .map(|e| (e, effective_params(e, run)))
         .collect();
-    // `--trace DIR`: load, verify and validate the recorded roster before
-    // anything runs, then install it as the process-global workload source
-    // for the duration of the run (the guard restores the generators).
-    let _trace_guard = match &run.trace {
-        Some(dir) => {
-            let ids: Vec<_> = jobs
-                .iter()
-                .map(|(e, p)| (e.id(), e.classes(), *p))
-                .collect();
-            Some(crate::trace::install_roster(dir, &ids, run.jobs)?)
-        }
-        None => None,
-    };
-    let _cache = open_cache(&run.cache, run.resume)?;
-    Ok(with_jobs(run.jobs, || {
-        run_experiments(jobs, !run.sequential)
-    }))
+    // `--trace DIR` is loaded, verified and validated against every
+    // experiment before anything runs.
+    let replays: Vec<_> = jobs
+        .iter()
+        .map(|(e, p)| (e.id(), e.classes(), *p))
+        .collect();
+    let ctx = run_ctx(
+        run.jobs,
+        run.trace.as_deref(),
+        &replays,
+        run.cache.as_deref(),
+        run.resume,
+    )?;
+    Ok(run_experiments(&ctx, jobs, !run.sequential))
 }
 
 /// Resolves a `--classes` selection.
@@ -1413,26 +1372,16 @@ pub struct SweepOutcome {
 /// Executes a sweep: expands the grid, runs it (consulting the cache when
 /// one is configured) and assembles the merged report.
 pub fn execute_sweep(sweep: &SweepArgs) -> Result<SweepOutcome, CliError> {
-    #[cfg(test)]
-    let _serial = run_lock();
     let spec = sweep_spec(sweep)?;
     let plan = spec.expand().map_err(CliError::usage)?;
-    let _trace_guard = match &sweep.trace {
-        Some(dir) => Some(crate::trace::install_roster(
-            dir,
-            &[("sweep", spec.classes.as_slice(), spec.params)],
-            sweep.jobs,
-        )?),
-        None => None,
-    };
-    let cache = open_cache(&sweep.cache, sweep.resume)?;
-    let results = with_jobs(sweep.jobs, || {
-        if sweep.no_batch {
-            run_plan_each(&plan, &spec.params)
-        } else {
-            run_plan(&plan, &spec.params)
-        }
-    });
+    let ctx = run_ctx(
+        sweep.jobs,
+        sweep.trace.as_deref(),
+        &[("sweep", spec.classes.as_slice(), spec.params)],
+        sweep.cache.as_deref(),
+        sweep.resume,
+    )?;
+    let results = run_plan(&ctx, &plan, &spec.params, |_, _| {});
     let report = sweep_report(&spec, &plan, &results);
     let failed = results
         .failed()
@@ -1444,8 +1393,8 @@ pub fn execute_sweep(sweep: &SweepArgs) -> Result<SweepOutcome, CliError> {
             )
         })
         .collect();
-    let (cache_stats, cache_line) = match &cache {
-        Some((store, _guard)) => (
+    let (cache_stats, cache_line) = match &ctx.cache {
+        Some(store) => (
             Some((store.hits(), store.misses())),
             Some(cache_summary(store)),
         ),
@@ -1466,13 +1415,16 @@ pub fn execute_serve(serve: &ServeArgs) -> Result<String, CliError> {
     // SIGTERM behaves like `shutdown --now`: stop accepting, cancel the
     // running job at its next group boundary, journal, exit cleanly.
     elsq_serve::signal::install_sigterm().map_err(CliError::runtime)?;
-    let handle = Server::start(ServeConfig {
+    let config = ServeConfig {
         addr: serve.addr.clone(),
         store_dir: serve.store.clone(),
         resume: serve.resume,
         watchdog: serve.watchdog.map(std::time::Duration::from_secs),
-    })
-    .map_err(CliError::runtime)?;
+    };
+    // The worker budget is fixed before the daemon starts, so a job
+    // re-enqueued from the journal at boot runs under it too.
+    let workers = serve.jobs.unwrap_or_else(elsq_sim::pool::max_threads);
+    let handle = Server::start_with_workers(config, workers).map_err(CliError::runtime)?;
     {
         use std::io::Write as _;
         let mut out = std::io::stdout();
@@ -1484,7 +1436,7 @@ pub fn execute_serve(serve: &ServeArgs) -> Result<String, CliError> {
         );
         let _ = out.flush();
     }
-    with_jobs(serve.jobs, || handle.join());
+    handle.join();
     Ok("server stopped; queued jobs stay journaled in the store\n".to_owned())
 }
 
@@ -1732,8 +1684,6 @@ pub fn write_reports(
 /// Executes a bench invocation: runs the roster, writes the JSON file when
 /// `--label`/`--out` select one, and applies the `--check` comparison.
 pub fn execute_bench(bench: &BenchArgs) -> Result<String, CliError> {
-    #[cfg(test)]
-    let _serial = run_lock();
     let commits = bench.commits.unwrap_or(if bench.quick {
         BENCH_COMMITS_QUICK
     } else {
@@ -1745,23 +1695,19 @@ pub fn execute_bench(bench: &BenchArgs) -> Result<String, CliError> {
         label: bench.label.clone().unwrap_or_else(|| "local".to_owned()),
         sample: bench.sample,
     };
-    let _trace_guard = match &bench.trace {
-        Some(dir) => Some(crate::trace::install_roster(
-            dir,
-            &[(
-                "bench",
-                &[WorkloadClass::Fp, WorkloadClass::Int],
-                ExperimentParams {
-                    commits: params.commits,
-                    seed: params.seed,
-                    sample: None,
-                },
-            )],
-            None,
-        )?),
-        None => None,
+    let replay = ExperimentParams {
+        commits: params.commits,
+        seed: params.seed,
+        sample: None,
     };
-    let report = run_bench(&params);
+    let ctx = run_ctx(
+        None,
+        bench.trace.as_deref(),
+        &[("bench", &[WorkloadClass::Fp, WorkloadClass::Int], replay)],
+        None,
+        false,
+    )?;
+    let report = run_bench(&ctx, &params);
     // In JSON mode, stdout carries *only* the report (so `| jq` works); the
     // file-write notice and check comparison are text-mode affordances, and
     // a failed check still reaches stderr through the returned error.
@@ -1950,8 +1896,6 @@ impl TestOutcome {
 /// the `--cache` store when one is configured) and evaluates its
 /// assertions.
 pub fn execute_test(test: &TestArgs) -> Result<TestOutcome, CliError> {
-    #[cfg(test)]
-    let _serial = run_lock();
     let files = discover_suite_files(&test.paths)?;
     // Parse every file up front: a malformed suite aborts the invocation
     // before any simulation runs, not after minutes of grid time.
@@ -1966,29 +1910,27 @@ pub fn execute_test(test: &TestArgs) -> Result<TestOutcome, CliError> {
             Ok((path.clone(), suite))
         })
         .collect::<Result<_, CliError>>()?;
-    let cache = open_cache(&test.cache, test.resume)?;
-    let outcomes = with_jobs(test.jobs, || {
-        suites
-            .iter()
-            .map(|(path, suite)| {
-                let report = suite
-                    .run()
-                    .map_err(|e| CliError::runtime(format!("suite {}: {e}", path.display())))?;
-                // Relative `tolerance` golden paths resolve against the
-                // suite file's own directory.
-                let golden_dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
-                let mut outcome = evaluate(suite, &report, golden_dir);
-                // File *name* only: the JSON outcome report must stay
-                // byte-identical across checkouts and working directories.
-                outcome.source = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                Ok(outcome)
-            })
-            .collect::<Result<Vec<_>, CliError>>()
-    })?;
-    let cache_line = cache.as_ref().map(|(store, _guard)| {
+    let ctx = run_ctx(test.jobs, None, &[], test.cache.as_deref(), test.resume)?;
+    let outcomes = suites
+        .iter()
+        .map(|(path, suite)| {
+            let report = suite
+                .run(&ctx)
+                .map_err(|e| CliError::runtime(format!("suite {}: {e}", path.display())))?;
+            // Relative `tolerance` golden paths resolve against the suite
+            // file's own directory.
+            let golden_dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
+            let mut outcome = evaluate(suite, &report, golden_dir);
+            // File *name* only: the JSON outcome report must stay
+            // byte-identical across checkouts and working directories.
+            outcome.source = path
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            Ok(outcome)
+        })
+        .collect::<Result<Vec<_>, CliError>>()?;
+    let cache_line = ctx.cache.as_ref().map(|store| {
         let mut line = cache_summary(store);
         if store.misses() == 0 && store.hits() > 0 {
             line.pop();
@@ -3073,7 +3015,6 @@ mod tests {
             out: None,
             jobs: None,
             trace: None,
-            no_batch: false,
             fault_plan: None,
             sample: None,
         };
@@ -3109,7 +3050,6 @@ mod tests {
             out: None,
             jobs: None,
             trace: None,
-            no_batch: false,
             fault_plan: None,
             sample: None,
         };
@@ -3132,20 +3072,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Batching is invisible: the grid run as one-point sweeps into a cache
+    /// (every class group a batch of one) answers the full-grid sweep
+    /// entirely from the cache, byte-identical to a cacheless full-grid run.
     #[test]
-    fn sweep_no_batch_is_byte_identical_to_batched() {
+    fn sweep_of_single_points_is_byte_identical_to_the_full_grid() {
+        let dir = tmp_dir("sweep-points");
+        let axis = |name: &str, values: &[&str]| Axis {
+            name: name.into(),
+            values: values.iter().map(|v| (*v).to_owned()).collect(),
+        };
         let sweep = SweepArgs {
             scenario: None,
-            axes: vec![
-                Axis {
-                    name: "rob".into(),
-                    values: vec!["48".into(), "64".into()],
-                },
-                Axis {
-                    name: "issue".into(),
-                    values: vec!["2".into(), "4".into()],
-                },
-            ],
+            axes: vec![axis("rob", &["48", "64"]), axis("issue", &["2", "4"])],
             base: Some("fmc-hash".into()),
             classes: Some("both".into()),
             name: Some("batchparity".into()),
@@ -3158,21 +3097,40 @@ mod tests {
             out: None,
             jobs: None,
             trace: None,
-            no_batch: false,
             fault_plan: None,
             sample: None,
         };
-        let batched = execute_sweep(&sweep).unwrap();
-        let each = execute_sweep(&SweepArgs {
-            no_batch: true,
-            ..sweep
+        for rob in ["48", "64"] {
+            for issue in ["2", "4"] {
+                execute_sweep(&SweepArgs {
+                    axes: vec![axis("rob", &[rob]), axis("issue", &[issue])],
+                    cache: Some(dir.join("cache")),
+                    resume: true,
+                    ..sweep.clone()
+                })
+                .unwrap();
+            }
+        }
+        let resumed = execute_sweep(&SweepArgs {
+            cache: Some(dir.join("cache")),
+            resume: true,
+            ..sweep.clone()
         })
         .unwrap();
         assert_eq!(
-            render_report(&batched.report, OutputFormat::Json),
-            render_report(&each.report, OutputFormat::Json),
-            "--no-batch must not change a single byte of the report"
+            resumed.cache,
+            Some((8, 0)),
+            "every point came from the cache"
         );
+        let fresh = execute_sweep(&sweep).unwrap();
+        assert_eq!(
+            render_report(&resumed.report, OutputFormat::Json),
+            render_report(&fresh.report, OutputFormat::Json),
+            "batching must not change a single byte of the report"
+        );
+        let err = parse(&args(&["sweep", "--axis", "rob=48", "--no-batch"])).unwrap_err();
+        assert_eq!(err.exit_code, 2, "`--no-batch` is not a sweep flag");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -3209,7 +3167,6 @@ mod tests {
             out: None,
             jobs: None,
             trace: None,
-            no_batch: false,
             fault_plan: None,
             sample: None,
         })
@@ -3236,7 +3193,6 @@ mod tests {
             out: None,
             jobs: None,
             trace: None,
-            no_batch: false,
             fault_plan: None,
             sample: None,
         })

@@ -6,16 +6,14 @@
 //! * `trace verify` fully decodes files — every CRC, record and the trailer
 //!   count — in parallel and exits non-zero listing every corrupt one,
 //! * `run --trace DIR` (handled in [`crate::cli`]) loads a dumped directory
-//!   as a [`TraceRoster`] and installs it as the process-global workload
-//!   source, so every experiment replays the recorded streams.
+//!   as a [`TraceRoster`] and makes it the run context's workload source,
+//!   so every experiment replays the recorded streams.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use elsq_isa::etrc;
 use elsq_isa::TraceSource;
-use elsq_sim::driver::{install_trace_override, TraceOverrideGuard};
 use elsq_sim::pool::max_threads;
 use elsq_stats::report::ExperimentParams;
 use elsq_workload::suite::{suite, verify_traces, TraceRoster, WorkloadClass};
@@ -286,10 +284,9 @@ pub fn execute_verify(args: &TraceFileArgs) -> Result<String, CliError> {
     }
 }
 
-/// Loads `dir` as a roster, validates it against every `(experiment id,
-/// classes, params)` job of a run, and installs it as the process-global
-/// workload source. The returned guard restores the previous source when
-/// dropped.
+/// Loads `dir` as a roster and validates it against every `(experiment id,
+/// classes, params)` job of a run, for the run's
+/// [`elsq_sim::RunCtx::source`].
 ///
 /// Each experiment declares which suites it simulates
 /// ([`elsq_sim::experiments::Experiment::classes`]) and exactly those are
@@ -298,14 +295,13 @@ pub fn execute_verify(args: &TraceFileArgs) -> Result<String, CliError> {
 /// rejected with a clean error — not a mid-run panic — when a selected
 /// experiment needs the missing suite.
 ///
-/// The roster's files are verified on `workers` threads (the run's
-/// `--jobs`, else the pool default).
-pub fn install_roster(
+/// The roster's files are verified on `workers` threads.
+pub fn load_roster(
     dir: &Path,
     jobs: &[(&str, &[WorkloadClass], ExperimentParams)],
-    workers: Option<usize>,
-) -> Result<TraceOverrideGuard, CliError> {
-    let roster = TraceRoster::from_dir(dir, workers.unwrap_or_else(max_threads))
+    workers: usize,
+) -> Result<TraceRoster, CliError> {
+    let roster = TraceRoster::from_dir(dir, workers)
         .map_err(|e| CliError::runtime(format!("--trace {}: {e}", dir.display())))?;
     for (id, classes, params) in jobs {
         for class in *classes {
@@ -319,7 +315,7 @@ pub fn install_roster(
                 })?;
         }
     }
-    Ok(install_trace_override(Arc::new(roster)))
+    Ok(roster)
 }
 
 #[cfg(test)]
@@ -537,10 +533,6 @@ mod tests {
 
     /// The acceptance pin: `trace dump` then `run fig7 --trace DIR` produces
     /// a report identical to the generator-driven run.
-    ///
-    /// The process-global override window is safe against sibling tests
-    /// because `execute_run` serializes all in-process runs under
-    /// `cfg(test)` (see the `RUN_LOCK` in `cli.rs`).
     #[test]
     fn run_with_trace_matches_generator_run() {
         let dir = tmp_dir("replay");

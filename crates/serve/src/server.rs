@@ -7,8 +7,9 @@
 //! order — binds the listener, and spawns two threads. The **accept
 //! thread** hands each connection to a short-lived handler thread that
 //! parses the single request line and answers it. The **runner thread**
-//! owns the process-global result cache for the server's lifetime and
-//! executes jobs strictly one at a time, which is what makes the shared
+//! executes jobs strictly one at a time under the daemon's one
+//! [`RunCtx`] (built at start, with the store as its cache and the
+//! worker budget fixed before any job runs), which is what makes the shared
 //! store's hit/miss accounting per job exact and guarantees two clients
 //! submitting overlapping grids never simulate a shared point twice: the
 //! second job's overlapping points are answered from the store the first
@@ -41,9 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use elsq_sim::driver::install_result_cache;
-use elsq_sim::pool::panic_message;
-use elsq_sim::scenario::{run_plan_ctrl, sweep_report, PointKey, PointOutcome, SweepPlan};
+use elsq_sim::driver::RunCtx;
+use elsq_sim::pool::{max_threads, panic_message};
+use elsq_sim::scenario::{run_plan, sweep_report, PointOutcome, SweepPlan};
 use elsq_sim::store::{write_json_atomic, ResultStore};
 use elsq_sim::ScenarioSpec;
 use elsq_stats::report::Report;
@@ -116,13 +117,16 @@ struct ServeState {
 
 struct Inner {
     store: Arc<ResultStore>,
+    /// Every job runs under this context: `store` as its cache and
+    /// `cancel` as its cancel flag.
+    ctx: RunCtx,
     store_dir: PathBuf,
     state: Mutex<ServeState>,
     work: Condvar,
     shutdown: AtomicBool,
     /// Set by a non-drain shutdown: the running plan stops at its next
     /// class-group boundary.
-    cancel: AtomicBool,
+    cancel: Arc<AtomicBool>,
     watchdog: Option<Duration>,
     next_seq: AtomicU64,
     unique: AtomicU64,
@@ -192,11 +196,18 @@ impl Inner {
 }
 
 impl Server {
-    /// Opens the store, replays the journal, binds the listener and spawns
-    /// the accept and runner threads. Fails loudly (returning the message)
-    /// on a locked or corrupt store, a corrupt journal, or an unbindable
-    /// address.
+    /// [`Server::start_with_workers`] with the default worker count:
+    /// `ELSQ_THREADS` if set, otherwise the machine's available
+    /// parallelism.
     pub fn start(config: ServeConfig) -> Result<ServerHandle, String> {
+        Self::start_with_workers(config, max_threads())
+    }
+
+    /// Opens the store, replays the journal, binds the listener and spawns
+    /// the accept and runner threads; every job runs with `workers` threads
+    /// per fan-out level. Fails loudly (returning the message) on a locked
+    /// or corrupt store, a corrupt journal, or an unbindable address.
+    pub fn start_with_workers(config: ServeConfig, workers: usize) -> Result<ServerHandle, String> {
         let store = Arc::new(ResultStore::open(&config.store_dir, config.resume)?);
         let records = job::load_records(&config.store_dir)?;
         let mut table = BTreeMap::new();
@@ -229,8 +240,15 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
+        let cancel = Arc::new(AtomicBool::new(false));
+        let ctx = RunCtx {
+            cache: Some(Arc::clone(&store)),
+            cancel: Some(Arc::clone(&cancel)),
+            ..RunCtx::new(workers)
+        };
         let inner = Arc::new(Inner {
             store,
+            ctx,
             store_dir: config.store_dir,
             state: Mutex::new(ServeState {
                 records: table,
@@ -239,7 +257,7 @@ impl Server {
             }),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            cancel: AtomicBool::new(false),
+            cancel,
             watchdog: config.watchdog,
             next_seq: AtomicU64::new(max_seq + 1),
             unique: AtomicU64::new(1),
@@ -271,10 +289,6 @@ impl Server {
 // Runner thread: jobs, one at a time, over the shared store.
 
 fn runner_loop(inner: Arc<Inner>) {
-    // The runner owns the process-global result cache for the server's
-    // lifetime: every suite lookup of every job goes through the one
-    // shared store. The guard restores the previous cache on exit.
-    let _cache = install_result_cache(Arc::clone(&inner.store));
     loop {
         let job_id = {
             let mut state = inner.lock_state();
@@ -352,7 +366,7 @@ fn run_job(inner: &Arc<Inner>, id: &str) {
             .map(|p| {
                 inner
                     .store
-                    .contains(&PointKey::current(p.config, p.class, &spec.params))
+                    .contains(&inner.ctx.point_key(p.config, p.class, &spec.params))
             })
             .collect(),
     );
@@ -485,60 +499,57 @@ fn job_worker(
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut done = 0u64;
         let mut failed_so_far = 0u64;
-        run_plan_ctrl(
-            plan,
-            &spec.params,
-            |point, outcome| {
-                if abandoned.load(Ordering::SeqCst) {
-                    // The watchdog already declared this job dead; a stale
-                    // journal write here would corrupt the successor run.
-                    panic!("job `{id}` was abandoned by the watchdog");
-                }
-                done += 1;
-                let seq = done;
-                if outcome.is_failed() {
-                    failed_so_far += 1;
-                }
-                let index = plan
-                    .points
-                    .iter()
-                    .position(|p| p.label == point.label && p.class == point.class)
-                    .expect("observed point is in the plan");
-                let (site, error) = match outcome {
-                    PointOutcome::Ok(_) => (None, None),
-                    PointOutcome::Failed { site, msg } => (Some(site.clone()), Some(msg.clone())),
-                };
-                let entry = PointEvent {
-                    seq,
-                    done,
-                    label: point.label.clone(),
-                    class: point.class,
-                    cached: cached[index],
-                    site,
-                    error,
-                };
-                let hits = inner.store.hits() - hits_base;
-                let misses = inner.store.misses() - misses_base;
-                // Journal before emit: a Resume replay from the record is
-                // then guaranteed to cover everything ever emitted.
-                inner
-                    .update_record(id, |r| {
-                        r.completed = done;
-                        r.hits = hits;
-                        r.misses = misses;
-                        r.failed = failed_so_far;
-                        r.events.push(entry.clone());
-                    })
-                    .unwrap_or_else(|e| panic!("job journal write failed: {e}"));
-                inner.emit(id, &entry.to_event(id, total));
-                let _ = heartbeat.send(WorkerMsg::Progress);
-            },
-            || inner.cancel.load(Ordering::SeqCst),
-        )
+        run_plan(&inner.ctx, plan, &spec.params, |point, outcome| {
+            if abandoned.load(Ordering::SeqCst) {
+                // The watchdog already declared this job dead; a stale
+                // journal write here would corrupt the successor run.
+                panic!("job `{id}` was abandoned by the watchdog");
+            }
+            done += 1;
+            let seq = done;
+            if outcome.is_failed() {
+                failed_so_far += 1;
+            }
+            let index = plan
+                .points
+                .iter()
+                .position(|p| p.label == point.label && p.class == point.class)
+                .expect("observed point is in the plan");
+            let (site, error) = match outcome {
+                PointOutcome::Ok(_) => (None, None),
+                PointOutcome::Failed { site, msg } => (Some(site.clone()), Some(msg.clone())),
+            };
+            let entry = PointEvent {
+                seq,
+                done,
+                label: point.label.clone(),
+                class: point.class,
+                cached: cached[index],
+                site,
+                error,
+            };
+            let hits = inner.store.hits() - hits_base;
+            let misses = inner.store.misses() - misses_base;
+            // Journal before emit: a Resume replay from the record is
+            // then guaranteed to cover everything ever emitted.
+            inner
+                .update_record(id, |r| {
+                    r.completed = done;
+                    r.hits = hits;
+                    r.misses = misses;
+                    r.failed = failed_so_far;
+                    r.events.push(entry.clone());
+                })
+                .unwrap_or_else(|e| panic!("job journal write failed: {e}"));
+            inner.emit(id, &entry.to_event(id, total));
+            let _ = heartbeat.send(WorkerMsg::Progress);
+        })
     }));
     match outcome {
-        Ok(Ok(results)) => WorkerEnd::Finished(results),
-        Ok(Err(why)) => WorkerEnd::Cancelled(why),
+        Ok(results) => match results.cancelled() {
+            Some(why) => WorkerEnd::Cancelled(why.to_owned()),
+            None => WorkerEnd::Finished(results),
+        },
         Err(panic) => WorkerEnd::Panicked(panic_message(panic.as_ref())),
     }
 }

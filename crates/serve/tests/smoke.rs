@@ -2,9 +2,8 @@
 //! submissions (fresh, cached, replayed, rejected), the job table, and a
 //! graceful shutdown — all against one shared store.
 //!
-//! Everything runs inside a single sequential test because the runner
-//! thread installs the process-global result cache; parallel server
-//! instances in one test process would fight over it.
+//! Everything runs inside a single sequential test: each step builds on
+//! the store state the previous ones left.
 
 use elsq_serve::client;
 use elsq_serve::{Event, JobState, ServeConfig, Server};

@@ -11,6 +11,7 @@ use elsq_stats::energy::{EnergyModel, LsqStructureSpecs};
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -35,10 +36,10 @@ impl Experiment for Energy {
         plan
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
         let mut report = Report::new(self.id(), self.title(), *params);
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            report.push_table(run(class, params));
+            report.push_table(run(ctx, class, params));
         }
         report
     }
@@ -65,7 +66,7 @@ pub fn configurations() -> Vec<(&'static str, CpuConfig)> {
 
 /// Renders the per-configuration LSQ dynamic-energy table (µJ per 100 M
 /// instructions) for one workload class.
-pub fn run(class: WorkloadClass, params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, class: WorkloadClass, params: &ExperimentParams) -> Table {
     let model = EnergyModel::default();
     let specs = LsqStructureSpecs::default();
     let mut table = Table::new(
@@ -77,7 +78,7 @@ pub fn run(class: WorkloadClass, params: &ExperimentParams) -> Table {
             "cache (uJ)",
         ],
     );
-    let plan_results = run_plan(&class_plan(class), params);
+    let plan_results = run_plan(ctx, &class_plan(class), params, |_, _| {});
     for (name, _) in configurations() {
         let results = plan_results.suite(name, class);
         let mean = SimResult::mean_lsq_per_100m(results);
@@ -99,7 +100,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_configuration() {
-        let t = run(WorkloadClass::Fp, &tiny_params());
+        let t = run(&RunCtx::new(2), WorkloadClass::Fp, &tiny_params());
         assert_eq!(t.len(), configurations().len());
     }
 
@@ -110,7 +111,7 @@ mod tests {
             seed: 3,
             sample: None,
         };
-        let t = run(WorkloadClass::Fp, &params);
+        let t = run(&RunCtx::new(2), WorkloadClass::Fp, &params);
         let fmc = t
             .rows()
             .iter()

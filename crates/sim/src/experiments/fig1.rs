@@ -11,6 +11,7 @@ use elsq_cpu::result::Histogram;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -31,8 +32,8 @@ impl Experiment for Fig1 {
         plan()
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        let dists = measure(params);
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        let dists = measure(ctx, params);
         let mut report =
             Report::new(self.id(), self.title(), *params).with_table(summary_table(&dists));
         for dist in dists {
@@ -83,8 +84,8 @@ pub fn plan() -> SweepPlan {
 }
 
 /// Runs the Figure 1 measurement on the large-window (FMC) processor.
-pub fn measure(params: &ExperimentParams) -> Vec<LocalityDistribution> {
-    let results = run_plan(&plan(), params);
+pub fn measure(ctx: &RunCtx, params: &ExperimentParams) -> Vec<LocalityDistribution> {
+    let results = run_plan(ctx, &plan(), params, |_, _| {});
     [WorkloadClass::Fp, WorkloadClass::Int]
         .into_iter()
         .map(|class| {
@@ -105,8 +106,8 @@ pub fn measure(params: &ExperimentParams) -> Vec<LocalityDistribution> {
 
 /// Renders the Figure 1 summary table (first-bin coverage and the 95 %/99 %
 /// distances for loads and stores in each class).
-pub fn run(params: &ExperimentParams) -> Table {
-    summary_table(&measure(params))
+pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
+    summary_table(&measure(ctx, params))
 }
 
 /// The summary table over already-measured distributions.
@@ -144,7 +145,7 @@ mod tests {
 
     #[test]
     fn distributions_show_execution_locality() {
-        let dists = measure(&tiny_params());
+        let dists = measure(&RunCtx::new(2), &tiny_params());
         assert_eq!(dists.len(), 2);
         for d in &dists {
             // The overwhelming majority of address calculations happen soon
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn table_has_four_rows() {
-        let t = run(&tiny_params());
+        let t = run(&RunCtx::new(2), &tiny_params());
         assert_eq!(t.len(), 4);
     }
 }

@@ -12,6 +12,7 @@ use elsq_cpu::result::SimResult;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -35,8 +36,8 @@ impl Experiment for Fig10 {
         plan()
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        Report::new(self.id(), self.title(), *params).with_table(run(params))
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        Report::new(self.id(), self.title(), *params).with_table(run(ctx, params))
     }
 }
 
@@ -108,8 +109,8 @@ pub fn plan() -> SweepPlan {
 }
 
 /// Measures every point of Figure 10.
-pub fn measure(params: &ExperimentParams) -> Vec<SvwPoint> {
-    let results = run_plan(&plan(), params);
+pub fn measure(ctx: &RunCtx, params: &ExperimentParams) -> Vec<SvwPoint> {
+    let results = run_plan(ctx, &plan(), params, |_, _| {});
     let mut points = Vec::new();
     for large_window in [false, true] {
         for class in [WorkloadClass::Int, WorkloadClass::Fp] {
@@ -135,7 +136,7 @@ pub fn measure(params: &ExperimentParams) -> Vec<SvwPoint> {
 }
 
 /// Renders the Figure 10 table.
-pub fn run(params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         "Figure 10: SVW re-execution vs SSBF size",
         &[
@@ -147,7 +148,7 @@ pub fn run(params: &ExperimentParams) -> Table {
             "re-execs / 100M",
         ],
     );
-    for p in measure(params) {
+    for p in measure(ctx, params) {
         table.row_cells(vec![
             Cell::text(if p.large_window { "FMC" } else { "OoO-64" }),
             Cell::text(p.class.to_string()),
@@ -175,7 +176,7 @@ mod tests {
             seed: 3,
             sample: None,
         };
-        let points = measure(&params);
+        let points = measure(&RunCtx::new(2), &params);
         assert_eq!(points.len(), 2 * 2 * 2 * SSBF_BITS.len());
         // Removing the associative load queue never speeds the processor up
         // by more than measurement noise.

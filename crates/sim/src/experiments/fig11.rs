@@ -10,7 +10,7 @@ use elsq_cpu::result::SimResult;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
-use crate::driver::run_suite;
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -30,8 +30,8 @@ impl Experiment for Fig11 {
         plan()
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        Report::new(self.id(), self.title(), *params).with_table(run(params))
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        Report::new(self.id(), self.title(), *params).with_table(run(ctx, params))
     }
 }
 
@@ -64,18 +64,13 @@ fn mean_idle_fraction(results: &[SimResult]) -> f64 {
         / results.len() as f64
 }
 
-/// Mean LL-LSQ idle fraction for one class and L2 size.
-pub fn idle_fraction(class: WorkloadClass, l2_mb: u64, params: &ExperimentParams) -> f64 {
-    mean_idle_fraction(&run_suite(l2_config(l2_mb), class, params))
-}
-
 /// Renders the Figure 11 table.
-pub fn run(params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         "Figure 11: LL-LSQ inactivity cycles (%) vs L2 size",
         &["L2 size", "SPEC INT", "SPEC FP"],
     );
-    let results = run_plan(&plan(), params);
+    let results = run_plan(ctx, &plan(), params, |_, _| {});
     for mb in L2_MB {
         let label = format!("{mb}MB");
         table.row_cells(vec![
@@ -90,7 +85,17 @@ pub fn run(params: &ExperimentParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_points;
     use crate::experiments::tiny_params;
+
+    /// Mean LL-LSQ idle fraction for one class and L2 size.
+    fn idle_fraction(class: WorkloadClass, l2_mb: u64, params: &ExperimentParams) -> f64 {
+        let point = [("", l2_config(l2_mb))];
+        let results = run_points(&RunCtx::new(2), &point, class, params)
+            .remove(0)
+            .unwrap();
+        mean_idle_fraction(&results)
+    }
 
     #[test]
     fn idle_fraction_is_a_fraction() {
@@ -100,7 +105,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_l2_size() {
-        let t = run(&tiny_params());
+        let t = run(&RunCtx::new(2), &tiny_params());
         assert_eq!(t.len(), L2_MB.len());
     }
 

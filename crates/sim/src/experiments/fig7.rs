@@ -12,6 +12,7 @@ use elsq_cpu::config::CpuConfig;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -31,8 +32,8 @@ impl Experiment for Fig7 {
         plan()
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        Report::new(self.id(), self.title(), *params).with_table(run(params))
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        Report::new(self.id(), self.title(), *params).with_table(run(ctx, params))
     }
 }
 
@@ -70,8 +71,12 @@ pub fn plan() -> SweepPlan {
 }
 
 /// Speed-ups over OoO-64 for one workload class, in scheme order.
-pub fn speedups(class: WorkloadClass, params: &ExperimentParams) -> Vec<(String, f64)> {
-    let results = run_plan(&class_plan(class), params);
+pub fn speedups(
+    ctx: &RunCtx,
+    class: WorkloadClass,
+    params: &ExperimentParams,
+) -> Vec<(String, f64)> {
+    let results = run_plan(ctx, &class_plan(class), params, |_, _| {});
     let base = results.mean_ipc(BASELINE, class);
     schemes()
         .into_iter()
@@ -80,13 +85,13 @@ pub fn speedups(class: WorkloadClass, params: &ExperimentParams) -> Vec<(String,
 }
 
 /// Renders the Figure 7 table (one column per suite, one row per scheme).
-pub fn run(params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         "Figure 7: speed-up over a conventional 64-entry ROB",
         &["scheme", "SPEC INT", "SPEC FP"],
     );
-    let int = speedups(WorkloadClass::Int, params);
-    let fp = speedups(WorkloadClass::Fp, params);
+    let int = speedups(ctx, WorkloadClass::Int, params);
+    let fp = speedups(ctx, WorkloadClass::Fp, params);
     for ((name, int_speedup), (_, fp_speedup)) in int.into_iter().zip(fp) {
         table.row_cells(vec![
             Cell::text(name),
@@ -104,7 +109,7 @@ mod tests {
 
     #[test]
     fn table_lists_all_schemes() {
-        let t = run(&tiny_params());
+        let t = run(&RunCtx::new(2), &tiny_params());
         assert_eq!(t.len(), schemes().len());
     }
 
@@ -115,8 +120,8 @@ mod tests {
             seed: 3,
             sample: None,
         };
-        let int = speedups(WorkloadClass::Int, &params);
-        let fp = speedups(WorkloadClass::Fp, &params);
+        let int = speedups(&RunCtx::new(2), WorkloadClass::Int, &params);
+        let fp = speedups(&RunCtx::new(2), WorkloadClass::Fp, &params);
         let last = int.len() - 1; // ELSQ hash ERT + SQM
         assert!(
             fp[last].1 > int[last].1,
@@ -141,7 +146,9 @@ mod tests {
             sample: None,
         };
         let int: std::collections::HashMap<String, f64> =
-            speedups(WorkloadClass::Int, &params).into_iter().collect();
+            speedups(&RunCtx::new(2), WorkloadClass::Int, &params)
+                .into_iter()
+                .collect();
         for ert in ["line", "hash"] {
             let base = int[&format!("ELSQ {ert} ERT")];
             let sqm = int[&format!("ELSQ {ert} ERT + SQM")];

@@ -12,7 +12,7 @@ use elsq_cpu::config::CpuConfig;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
-use crate::driver::run_suite;
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -37,8 +37,8 @@ impl Experiment for Fig8a {
         accuracy_plan()
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        Report::new(self.id(), self.title(), *params).with_table(run_accuracy(params))
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        Report::new(self.id(), self.title(), *params).with_table(run_accuracy(ctx, params))
     }
 }
 
@@ -67,10 +67,10 @@ impl Experiment for Fig8bc {
         plan
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
         let mut report = Report::new(self.id(), self.title(), *params);
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            report.push_table(run_cache_sensitivity(class, params));
+            report.push_table(run_cache_sensitivity(ctx, class, params));
         }
         report
     }
@@ -104,20 +104,13 @@ pub fn accuracy_plan() -> SweepPlan {
     plan
 }
 
-/// False positives per 100 M instructions for one filter configuration.
-pub fn false_positives(ert: ErtKind, class: WorkloadClass, params: &ExperimentParams) -> u64 {
-    let results = run_suite(filter_config(ert), class, params);
-    let mean = elsq_cpu::result::SimResult::mean_lsq_per_100m(&results);
-    mean.ert_false_positives
-}
-
 /// Renders Figure 8a: filter accuracy vs hardware budget.
-pub fn run_accuracy(params: &ExperimentParams) -> Table {
+pub fn run_accuracy(ctx: &RunCtx, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         "Figure 8a: ERT false positives per 100M instructions",
         &["filter", "budget (bytes)", "SPEC FP", "SPEC INT"],
     );
-    let results = run_plan(&accuracy_plan(), params);
+    let results = run_plan(ctx, &accuracy_plan(), params, |_, _| {});
     let fp_of = |label: &str, class| {
         let mean = elsq_cpu::result::SimResult::mean_lsq_per_100m(results.suite(label, class));
         mean.ert_false_positives
@@ -170,12 +163,16 @@ fn sensitivity_plan(class: WorkloadClass) -> SweepPlan {
 
 /// Renders Figure 8b (FP) or 8c (INT): relative performance of the two
 /// filters as the L1 geometry changes, normalized to the best configuration.
-pub fn run_cache_sensitivity(class: WorkloadClass, params: &ExperimentParams) -> Table {
+pub fn run_cache_sensitivity(
+    ctx: &RunCtx,
+    class: WorkloadClass,
+    params: &ExperimentParams,
+) -> Table {
     let title = match class {
         WorkloadClass::Fp => "Figure 8b: SPEC FP relative performance vs L1 geometry",
         WorkloadClass::Int => "Figure 8c: SPEC INT relative performance vs L1 geometry",
     };
-    let results = run_plan(&sensitivity_plan(class), params);
+    let results = run_plan(ctx, &sensitivity_plan(class), params, |_, _| {});
     let rows: Vec<(String, f64, f64)> = l1_sweep()
         .into_iter()
         .map(|(size_kb, assoc)| {
@@ -204,7 +201,17 @@ pub fn run_cache_sensitivity(class: WorkloadClass, params: &ExperimentParams) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_points;
     use crate::experiments::tiny_params;
+
+    /// False positives per 100 M instructions for one filter configuration.
+    fn false_positives(ert: ErtKind, class: WorkloadClass, params: &ExperimentParams) -> u64 {
+        let point = [("", filter_config(ert))];
+        let results = run_points(&RunCtx::new(2), &point, class, params)
+            .remove(0)
+            .unwrap();
+        elsq_cpu::result::SimResult::mean_lsq_per_100m(&results).ert_false_positives
+    }
 
     #[test]
     fn fewer_hash_bits_mean_more_false_positives() {
@@ -223,13 +230,13 @@ mod tests {
 
     #[test]
     fn accuracy_table_covers_all_filters() {
-        let t = run_accuracy(&tiny_params());
+        let t = run_accuracy(&RunCtx::new(2), &tiny_params());
         assert_eq!(t.len(), HASH_BITS.len() + 1);
     }
 
     #[test]
     fn cache_sensitivity_table_covers_the_sweep() {
-        let t = run_cache_sensitivity(WorkloadClass::Fp, &tiny_params());
+        let t = run_cache_sensitivity(&RunCtx::new(2), WorkloadClass::Fp, &tiny_params());
         assert_eq!(t.len(), l1_sweep().len());
         // Values are normalized: none exceeds 1.0 by construction.
         for row in t.rows() {

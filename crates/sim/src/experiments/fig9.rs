@@ -11,6 +11,7 @@ use elsq_cpu::config::CpuConfig;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -34,8 +35,8 @@ impl Experiment for Fig9 {
         plan
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        Report::new(self.id(), self.title(), *params).with_table(run(params))
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        Report::new(self.id(), self.title(), *params).with_table(run(ctx, params))
     }
 }
 
@@ -55,10 +56,11 @@ fn class_plan(class: WorkloadClass) -> SweepPlan {
 
 /// Mean IPC of each disambiguation model for one class, in Figure 9 order.
 pub fn model_ipcs(
+    ctx: &RunCtx,
     class: WorkloadClass,
     params: &ExperimentParams,
 ) -> Vec<(DisambiguationModel, f64)> {
-    let results = run_plan(&class_plan(class), params);
+    let results = run_plan(ctx, &class_plan(class), params, |_, _| {});
     DisambiguationModel::ALL
         .iter()
         .map(|&model| (model, results.mean_ipc(&model.to_string(), class)))
@@ -66,13 +68,13 @@ pub fn model_ipcs(
 }
 
 /// Renders Figure 9: performance relative to full disambiguation.
-pub fn run(params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         "Figure 9: relative performance of restricted disambiguation models",
         &["model", "SPEC INT", "SPEC FP"],
     );
-    let int = model_ipcs(WorkloadClass::Int, params);
-    let fp = model_ipcs(WorkloadClass::Fp, params);
+    let int = model_ipcs(ctx, WorkloadClass::Int, params);
+    let fp = model_ipcs(ctx, WorkloadClass::Fp, params);
     let int_base = int[0].1;
     let fp_base = fp[0].1;
     for ((model, int_ipc), (_, fp_ipc)) in int.into_iter().zip(fp) {
@@ -92,7 +94,7 @@ mod tests {
 
     #[test]
     fn table_covers_all_models_and_full_is_the_baseline() {
-        let t = run(&tiny_params());
+        let t = run(&RunCtx::new(2), &tiny_params());
         assert_eq!(t.len(), DisambiguationModel::ALL.len());
         let first = &t.rows()[0];
         assert_eq!(first[0], "full");
@@ -107,8 +109,8 @@ mod tests {
             seed: 5,
             sample: None,
         };
-        for (model, ipc) in model_ipcs(WorkloadClass::Fp, &params) {
-            let (_, full) = model_ipcs(WorkloadClass::Fp, &params)[0];
+        for (model, ipc) in model_ipcs(&RunCtx::new(2), WorkloadClass::Fp, &params) {
+            let (_, full) = model_ipcs(&RunCtx::new(2), WorkloadClass::Fp, &params)[0];
             // Restricting disambiguation can only remove scheduling freedom;
             // small noise aside it should not beat full disambiguation by
             // more than a few percent.

@@ -21,7 +21,8 @@ pub mod tuning;
 use elsq_stats::report::{ExperimentParams, Report};
 use elsq_workload::suite::WorkloadClass;
 
-use crate::pool::parallel_map;
+use crate::driver::RunCtx;
+use crate::pool::parallel_map_with;
 use crate::scenario::SweepPlan;
 
 /// A named, runnable reproduction of one paper figure/table/study.
@@ -56,12 +57,13 @@ pub trait Experiment: Sync {
     /// `elsq-lab show <id>` prints this plan so sweep authors can copy an
     /// experiment's grid into a scenario file, and `run` implementations
     /// drive it through [`crate::scenario::run_plan`] — which answers
-    /// cached points from an installed
+    /// cached points from the context's
     /// [result store](crate::store::ResultStore) without simulating.
     fn plan(&self) -> SweepPlan;
 
-    /// Runs the experiment and collects every table it produces.
-    fn run(&self, params: &ExperimentParams) -> Report;
+    /// Runs the experiment under `ctx` and collects every table it
+    /// produces.
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report;
 }
 
 /// Every registered experiment, in the paper's presentation order.
@@ -87,29 +89,31 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
 }
 
 /// Runs one experiment and stamps the wall-clock time into its report.
-pub fn run_experiment(experiment: &dyn Experiment, params: &ExperimentParams) -> Report {
+pub fn run_experiment(
+    ctx: &RunCtx,
+    experiment: &dyn Experiment,
+    params: &ExperimentParams,
+) -> Report {
     let start = std::time::Instant::now();
-    let mut report = experiment.run(params);
+    let mut report = experiment.run(ctx, params);
     report.wall_time_ms = start.elapsed().as_secs_f64() * 1.0e3;
     report
 }
 
-/// Runs a batch of `(experiment, params)` jobs — in parallel through the
-/// work-stealing pool when `parallel` is set — and returns the reports in
-/// job order regardless of completion order.
+/// Runs a batch of `(experiment, params)` jobs — in parallel on
+/// `ctx.workers` threads when `parallel` is set — and returns the reports
+/// in job order regardless of completion order.
 pub fn run_experiments(
+    ctx: &RunCtx,
     jobs: Vec<(&'static dyn Experiment, ExperimentParams)>,
     parallel: bool,
 ) -> Vec<Report> {
-    if parallel {
-        parallel_map(jobs, |(experiment, params)| {
-            run_experiment(experiment, &params)
-        })
-    } else {
-        jobs.into_iter()
-            .map(|(experiment, params)| run_experiment(experiment, &params))
-            .collect()
-    }
+    let workers = if parallel { ctx.workers } else { 1 };
+    parallel_map_with(
+        jobs,
+        |(experiment, params)| run_experiment(ctx, experiment, &params),
+        workers,
+    )
 }
 
 #[cfg(test)]
@@ -166,7 +170,7 @@ mod tests {
     fn run_experiment_stamps_wall_time_and_metadata() {
         let params = tiny_params();
         let e = find("tuning").unwrap();
-        let report = run_experiment(e, &params);
+        let report = run_experiment(&RunCtx::new(2), e, &params);
         assert_eq!(report.id, "tuning");
         assert_eq!(report.params, params);
         assert!(report.wall_time_ms > 0.0);
@@ -186,11 +190,12 @@ mod tests {
                 (find("fig9").unwrap(), params),
             ]
         };
-        let parallel: Vec<_> = run_experiments(jobs(), true)
+        let ctx = RunCtx::new(2);
+        let parallel: Vec<_> = run_experiments(&ctx, jobs(), true)
             .into_iter()
             .map(Report::without_wall_time)
             .collect();
-        let sequential: Vec<_> = run_experiments(jobs(), false)
+        let sequential: Vec<_> = run_experiments(&ctx, jobs(), false)
             .into_iter()
             .map(Report::without_wall_time)
             .collect();

@@ -6,6 +6,7 @@ use elsq_cpu::result::SimResult;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -29,10 +30,10 @@ impl Experiment for Table2 {
         plan
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
         let mut report = Report::new(self.id(), self.title(), *params);
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            report.push_table(run(class, params));
+            report.push_table(run(ctx, class, params));
         }
         report
     }
@@ -61,7 +62,7 @@ fn class_plan(class: WorkloadClass) -> SweepPlan {
 }
 
 /// Renders Table 2 for one workload class.
-pub fn run(class: WorkloadClass, params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, class: WorkloadClass, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         format!("Table 2 ({class}): accesses to LSQ components (millions per 100M insts)"),
         &[
@@ -77,7 +78,7 @@ pub fn run(class: WorkloadClass, params: &ExperimentParams) -> Table {
             "Speed-Up",
         ],
     );
-    let plan_results = run_plan(&class_plan(class), params);
+    let plan_results = run_plan(ctx, &class_plan(class), params, |_, _| {});
     let baseline = plan_results.mean_ipc("OoO-64", class);
     for (name, _) in configurations() {
         let results = plan_results.suite(name, class);
@@ -106,7 +107,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_configuration() {
-        let t = run(WorkloadClass::Int, &tiny_params());
+        let t = run(&RunCtx::new(2), WorkloadClass::Int, &tiny_params());
         assert_eq!(t.len(), configurations().len());
     }
 
@@ -117,7 +118,7 @@ mod tests {
             seed: 3,
             sample: None,
         };
-        let t = run(WorkloadClass::Fp, &params);
+        let t = run(&RunCtx::new(2), WorkloadClass::Fp, &params);
         let find = |name: &str| -> Vec<Cell> {
             t.rows()
                 .iter()

@@ -12,6 +12,7 @@ use elsq_cpu::config::CpuConfig;
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_workload::suite::WorkloadClass;
 
+use crate::driver::RunCtx;
 use crate::experiments::Experiment;
 use crate::scenario::{run_plan, SweepPlan};
 
@@ -31,8 +32,8 @@ impl Experiment for Tuning {
         plan()
     }
 
-    fn run(&self, params: &ExperimentParams) -> Report {
-        Report::new(self.id(), self.title(), *params).with_table(run(params))
+    fn run(&self, ctx: &RunCtx, params: &ExperimentParams) -> Report {
+        Report::new(self.id(), self.title(), *params).with_table(run(ctx, params))
     }
 
     fn classes(&self) -> &'static [WorkloadClass] {
@@ -68,12 +69,12 @@ pub fn plan() -> SweepPlan {
 }
 
 /// Renders the sizing table: IPC relative to generously sized epoch queues.
-pub fn run(params: &ExperimentParams) -> Table {
+pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
     let mut table = Table::new(
         "Section 5.2: per-epoch LSQ sizing (SPEC FP, relative to 128/64)",
         &["loads/stores per epoch", "relative IPC"],
     );
-    let results = run_plan(&plan(), params);
+    let results = run_plan(ctx, &plan(), params, |_, _| {});
     let reference = results.mean_ipc("128/64", WorkloadClass::Fp);
     for (loads, stores) in SIZES {
         let label = format!("{loads}/{stores}");
@@ -90,7 +91,7 @@ mod tests {
 
     #[test]
     fn table_covers_the_sweep() {
-        let t = run(&tiny_params());
+        let t = run(&RunCtx::new(2), &tiny_params());
         assert_eq!(t.len(), SIZES.len());
     }
 
@@ -101,7 +102,7 @@ mod tests {
             seed: 3,
             sample: None,
         };
-        let t = run(&params);
+        let t = run(&RunCtx::new(2), &params);
         let row = t
             .rows()
             .iter()

@@ -13,8 +13,7 @@
 //! The plan comes from the `FAULT_PLAN` environment variable (a file path,
 //! or inline JSON when the value starts with `{`) or the `--fault-plan
 //! FILE` CLI flag, and is installed process-globally with
-//! [`install_fault_plan`] (restore-on-drop guard, same discipline as the
-//! driver's result-cache slot). When no plan is installed every hook is a
+//! [`install_fault_plan`] (restore-on-drop guard). When no plan is installed every hook is a
 //! single relaxed atomic load — the no-fault path is a behavioral no-op,
 //! which the byte-identity tests pin.
 //!

@@ -18,26 +18,29 @@
 //!
 //! Experiments implement the [`experiments::Experiment`] trait and register
 //! in [`experiments::registry`]; the `elsq-lab` CLI (crate `elsq-bench`)
-//! lists and runs them by id. The [`driver`] module runs a processor
-//! configuration over a full workload suite — fanning the independent
+//! lists and runs them by id. The [`driver`] module runs processor
+//! configurations over a full workload suite — fanning the independent
 //! `(config, workload)` pairs out across cores through the work-stealing
-//! scheduler in [`pool`] — and averages the results with the arithmetic
-//! mean, matching the paper's methodology.
+//! scheduler in [`pool`] — and the experiments average the results with
+//! the arithmetic mean, matching the paper's methodology. Every run takes
+//! a [`RunCtx`]: the workload source, the result cache and the worker
+//! budget, passed explicitly.
 //!
 //! # Example
 //!
 //! ```
-//! use elsq_sim::driver::{ExperimentParams, run_suite};
+//! use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
 //! use elsq_cpu::config::CpuConfig;
 //! use elsq_workload::suite::WorkloadClass;
 //!
+//! let ctx = RunCtx::new(2); // generators, no cache, two workers per level
 //! let params = ExperimentParams::quick();
-//! let results = run_suite(CpuConfig::ooo64(), WorkloadClass::Int, &params);
-//! assert_eq!(results.len(), 6);
+//! let outcomes = run_points(&ctx, &[("ooo64", CpuConfig::ooo64())], WorkloadClass::Int, &params);
+//! assert_eq!(outcomes[0].results().unwrap().len(), 6);
 //!
 //! // Or run a registered experiment end to end:
 //! let fig9 = elsq_sim::experiments::find("fig9").unwrap();
-//! let report = elsq_sim::experiments::run_experiment(fig9, &params);
+//! let report = elsq_sim::experiments::run_experiment(&ctx, fig9, &params);
 //! assert_eq!(report.id, "fig9");
 //! ```
 
@@ -52,15 +55,11 @@ pub mod scenario;
 pub mod store;
 pub mod suite;
 
-pub use driver::{
-    capture_class_suite, run_suite, run_suite_batched, run_suite_sequential,
-    run_suite_with_threads, ExperimentParams,
-};
+pub use driver::{capture_class_suite, run_points, ExperimentParams, RunCtx};
 pub use experiments::{find, registry, run_experiment, run_experiments, Experiment};
 pub use fault::{install_fault_plan, FaultAction, FaultPlan, FaultPlanGuard, FaultSpec};
 pub use scenario::{
-    run_plan, run_plan_each, run_plan_with, sweep_report, PlanPoint, PlanResults, PointKey,
-    PointOutcome, ScenarioSpec, SweepPlan,
+    run_plan, sweep_report, PlanPoint, PlanResults, PointKey, PointOutcome, ScenarioSpec, SweepPlan,
 };
 pub use store::ResultStore;
 pub use suite::{evaluate, CheckOutcome, Status, Suite, SuiteOutcome, SuiteTarget};

@@ -1,7 +1,7 @@
 //! A small fork-join work-stealing scheduler built on std threads and
 //! channels (no external dependencies).
 //!
-//! [`parallel_map`] distributes a batch of independent jobs across worker
+//! [`parallel_map_with`] distributes a batch of independent jobs across worker
 //! threads: each worker owns a deque seeded round-robin, pops its own work
 //! LIFO (cache-warm) and steals FIFO from the other workers when it runs
 //! dry. Results are tagged with their job index and reassembled in input
@@ -9,13 +9,11 @@
 //! — identically-seeded suite runs byte-match regardless of thread count or
 //! scheduling interleavings.
 //!
-//! The worker count defaults to the machine's available parallelism and can
-//! be pinned with the `ELSQ_THREADS` environment variable (`ELSQ_THREADS=1`
-//! forces fully sequential execution, which the determinism tests use as the
-//! reference).
+//! Every call names its worker count; runs take theirs from
+//! [`crate::driver::RunCtx::workers`], whose default is [`max_threads`].
 //!
 //! Nested use (an experiment fan-out whose jobs themselves call
-//! [`parallel_map`] over a suite) is allowed: each invocation spawns its own
+//! [`parallel_map_with`] over a suite) is allowed: each invocation spawns its own
 //! scoped workers, bounded by the job count, and the OS scheduler
 //! multiplexes them. Workers never block on each other — a worker exits when
 //! every deque is empty — so nesting cannot deadlock.
@@ -25,9 +23,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Mutex;
 
-/// Maximum worker threads per [`parallel_map`] call: the `ELSQ_THREADS`
-/// environment variable if set (minimum 1), otherwise the machine's
-/// available parallelism.
+/// The default worker count: the `ELSQ_THREADS` environment variable if
+/// set (minimum 1), otherwise the machine's available parallelism.
 pub fn max_threads() -> usize {
     if let Ok(value) = std::env::var("ELSQ_THREADS") {
         if let Ok(n) = value.trim().parse::<usize>() {
@@ -39,25 +36,12 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item, fanning the work out across worker threads,
-/// and returns the results in input order.
+/// Applies `f` to every item, fanning the work out across up to `workers`
+/// threads, and returns the results in input order.
 ///
 /// Determinism: `f` is a pure function of its item in this workspace, and
 /// results are reassembled by job index, so the output is identical to
 /// `items.into_iter().map(f).collect()` for every thread count.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = max_threads();
-    parallel_map_with(items, f, workers)
-}
-
-/// [`parallel_map`] with an explicit worker count — used by tests to
-/// exercise the work-stealing path even on single-core machines, and by
-/// callers that manage their own thread budget.
 ///
 /// A panicking job re-raises its (stringified) payload here on the calling
 /// thread once every job has finished; use [`try_parallel_map_with`] to
@@ -77,20 +61,10 @@ where
         .collect()
 }
 
-/// Panic-isolating [`parallel_map`]: every job runs under `catch_unwind`,
-/// and a job that panics yields `Err(panic message)` in its slot instead
-/// of unwinding the whole pool. The other jobs always run to completion.
-pub fn try_parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<Result<R, String>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = max_threads();
-    try_parallel_map_with(items, f, workers)
-}
-
-/// [`try_parallel_map`] with an explicit worker count.
+/// Panic-isolating [`parallel_map_with`]: every job runs under
+/// `catch_unwind`, and a job that panics yields `Err(panic message)` in its
+/// slot instead of unwinding the whole pool. The other jobs always run to
+/// completion.
 pub fn try_parallel_map_with<T, R, F>(items: Vec<T>, f: F, workers: usize) -> Vec<Result<R, String>>
 where
     T: Send,
@@ -208,8 +182,6 @@ mod tests {
             let out = parallel_map_with(items.clone(), |x| x * 3, workers);
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         }
-        let out = parallel_map(items.clone(), |x| x * 3);
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -230,8 +202,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_batches() {
         let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map(empty, |x| x).is_empty());
-        assert_eq!(parallel_map(vec![9], |x| x + 1), vec![10]);
+        assert!(parallel_map_with(empty, |x| x, 3).is_empty());
+        assert_eq!(parallel_map_with(vec![9], |x| x + 1, 3), vec![10]);
     }
 
     #[test]

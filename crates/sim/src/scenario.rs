@@ -16,10 +16,11 @@
 //!   `(config, class, commits, seed, trace fingerprint)` — which is the
 //!   key the on-disk [`crate::store::ResultStore`] caches suite results
 //!   under;
-//! * [`run_plan`] runs a plan through [`crate::driver::run_suite`] (which
-//!   consults the installed result cache first, so only cache misses reach
-//!   the simulator and the parallel pool) and returns a [`PlanResults`]
-//!   the caller assembles tables from.
+//! * [`run_plan`] runs a plan under a [`RunCtx`] through
+//!   [`crate::driver::run_points`] (which consults the context's result
+//!   cache first, so only cache misses reach the simulator and the
+//!   parallel pool) and returns a [`PlanResults`] the caller assembles
+//!   tables from.
 //!
 //! Registered experiments declare their figure grids as plans too
 //! ([`crate::experiments::Experiment::plan`]), so `elsq-lab show <id>`
@@ -37,7 +38,8 @@ use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 use elsq_stats::sampling::{combine_ci, SamplingSpec};
 use elsq_workload::suite::WorkloadClass;
 
-use crate::driver::{trace_fingerprint, try_run_suite_batched, try_run_suite_labeled, SiteFailure};
+use crate::driver::{run_points, RunCtx};
+use crate::fault;
 
 /// One axis of a scenario grid: a name and the values it sweeps, both kept
 /// as strings so scenario files stay readable and diffable.
@@ -171,9 +173,9 @@ pub struct PointKey {
     pub commits: u64,
     /// Workload generator seed.
     pub seed: u64,
-    /// Fingerprint of the installed trace roster, if the run replays
-    /// recorded traces instead of generators (`None` for generator runs, so
-    /// a replayed point can never alias a generated one).
+    /// Fingerprint of the run's trace roster, if it replays recorded
+    /// traces instead of generators (`None` for generator runs, so a
+    /// replayed point can never alias a generated one).
     pub trace: Option<u64>,
     /// The sampling spec of a sampled run (`None` for full detailed runs,
     /// so a sampled point can never alias — or be answered from — a full
@@ -223,15 +225,15 @@ impl Deserialize for PointKey {
 }
 
 impl PointKey {
-    /// The key of `(config, class)` under `params` and the *currently
-    /// installed* workload source (generators or a trace roster).
+    /// The key of `(config, class)` under `params` with the generators as
+    /// the workload source; [`RunCtx::point_key`] keys a replayed point.
     pub fn current(config: CpuConfig, class: WorkloadClass, params: &ExperimentParams) -> Self {
         Self {
             config,
             class,
             commits: params.commits,
             seed: params.seed,
-            trace: trace_fingerprint(),
+            trace: None,
             sample: params.sample,
         }
     }
@@ -537,13 +539,26 @@ pub enum PointOutcome {
 }
 
 impl PointOutcome {
-    fn from_try(attempt: Result<Vec<SimResult>, SiteFailure>) -> Self {
-        match attempt {
-            Ok(results) => PointOutcome::Ok(results),
-            Err(f) => PointOutcome::Failed {
-                site: f.site,
-                msg: f.msg,
-            },
+    /// Classifies a caught panic message: injected faults carry their site
+    /// in the payload (see [`fault::panic_payload`]); anything else is an
+    /// ordinary simulation panic.
+    pub(crate) fn from_panic(payload: &str) -> Self {
+        let (site, msg) = fault::split_panic_site(payload).unwrap_or(("sim", payload));
+        PointOutcome::Failed {
+            site: site.to_owned(),
+            msg: msg.to_owned(),
+        }
+    }
+
+    /// The suite results.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a failed point, naming the site.
+    pub fn unwrap(self) -> Vec<SimResult> {
+        match self {
+            PointOutcome::Ok(results) => results,
+            PointOutcome::Failed { site, msg } => panic!("point failed at {site}: {msg}"),
         }
     }
 
@@ -568,9 +583,16 @@ impl PointOutcome {
 pub struct PlanResults {
     points: Vec<PlanPoint>,
     outcomes: Vec<PointOutcome>,
+    cancelled: Option<String>,
 }
 
 impl PlanResults {
+    /// Why the plan stopped early, if the context's cancel flag stopped it;
+    /// the results then hold only the points that ran.
+    pub fn cancelled(&self) -> Option<&str> {
+        self.cancelled.as_deref()
+    }
+
     /// The per-workload suite results of one point.
     ///
     /// # Panics
@@ -644,74 +666,41 @@ impl PlanResults {
     }
 }
 
-/// Runs every point of a plan and returns the results, batching points
-/// that share a workload class.
+/// Runs every point of a plan under `ctx` and returns the results,
+/// batching points that share a workload class.
 ///
-/// A plan's points all share `(commits, seed)` — and the trace fingerprint
-/// is process-global — so the batch grouping key `(class, seed, commits,
-/// trace)` degenerates to the class: every same-class point reuses one
-/// captured instruction stream through
-/// [`crate::driver::run_suite_batched`]. Groups of a single point bypass
-/// the capture and take the [`crate::driver::run_suite_labeled`]
-/// point-at-a-time path, as does the whole plan under [`run_plan_each`]
-/// (the CLI's `--no-batch`).
+/// A plan's points all share `(commits, seed)` and the context's trace
+/// roster, so the batch grouping key degenerates to the class: every
+/// same-class point reuses one captured instruction stream through
+/// [`run_points`]. Each point's [`PointKey`] is still consulted and
+/// written back individually, so hit/miss accounting is per point.
 ///
-/// Results are assembled back into plan order and are byte-identical to
-/// [`run_plan_each`] (pinned by the batch-equivalence proptests), and the
-/// cache story is unchanged: each point's [`PointKey`] is consulted and
-/// written back individually, with identical hit/miss accounting.
-///
-/// # Panics
-///
-/// Panics if two points share a `(label, class)` pair.
-pub fn run_plan(plan: &SweepPlan, params: &ExperimentParams) -> PlanResults {
-    run_plan_with(plan, params, |_, _| {})
-}
-
-/// [`run_plan`] with a progress observer: `observe` is called once per plan
-/// point with its finished outcome, as soon as it exists.
-///
-/// Because batching completes a whole class group at once, the call order
+/// `observe` is called once per point with its finished outcome, as soon
+/// as it exists. Because a class group completes at once, the call order
 /// is group completion order — classes in order of first appearance, and
-/// within a group the members in plan order. Single-point groups (which
-/// bypass the capture) observe immediately after their point runs. The
-/// `elsq-lab serve` job runner streams its per-point progress events and
-/// journal updates from this hook; everything about the returned
-/// [`PlanResults`] is identical to [`run_plan`].
+/// within a group the members in plan order. The `elsq-lab serve` job
+/// runner streams its per-point progress events and journal updates from
+/// this hook.
+///
+/// When the context carries a cancel flag, it is polled at every
+/// class-group boundary (before any of the group's points run); a raised
+/// flag stops the plan there and the returned results hold only the
+/// points that ran, with [`PlanResults::cancelled`] naming the group it
+/// skipped. A group in flight always runs to completion, which keeps
+/// every cache write a whole-point write.
 ///
 /// # Panics
 ///
 /// Panics if two points share a `(label, class)` pair.
-pub fn run_plan_with(
-    plan: &SweepPlan,
-    params: &ExperimentParams,
-    observe: impl FnMut(&PlanPoint, &PointOutcome),
-) -> PlanResults {
-    run_plan_ctrl(plan, params, observe, || false)
-        .expect("a plan run without a cancel signal cannot be cancelled")
-}
-
-/// [`run_plan_with`] with a cooperative cancel signal, for the serve
-/// drain path: `cancel` is polled at every class-group boundary (before
-/// any of the group's points run), and a `true` stops the plan with an
-/// `Err` naming the group it skipped. Points already run are abandoned —
-/// their results live in the result cache, so a resubmission picks them
-/// back up as hits.
-///
-/// Cancellation is only checked *between* groups: a group in flight always
-/// runs to completion, which keeps every cache write a whole-point write.
-///
-/// # Panics
-///
-/// Panics if two points share a `(label, class)` pair.
-pub fn run_plan_ctrl(
+pub fn run_plan(
+    ctx: &RunCtx,
     plan: &SweepPlan,
     params: &ExperimentParams,
     mut observe: impl FnMut(&PlanPoint, &PointOutcome),
-    mut cancel: impl FnMut() -> bool,
-) -> Result<PlanResults, String> {
+) -> PlanResults {
     plan.assert_unique_labels();
     let mut outcomes: Vec<Option<PointOutcome>> = vec![None; plan.points.len()];
+    let mut cancelled = None;
     // Group same-class points in order of first appearance.
     let mut classes_in_order: Vec<WorkloadClass> = Vec::new();
     for p in &plan.points {
@@ -720,8 +709,9 @@ pub fn run_plan_ctrl(
         }
     }
     for class in classes_in_order {
-        if cancel() {
-            return Err(format!("cancelled before the {class} group"));
+        if ctx.is_cancelled() {
+            cancelled = Some(format!("cancelled before the {class} group"));
+            break;
         }
         let members: Vec<usize> = plan
             .points
@@ -730,63 +720,25 @@ pub fn run_plan_ctrl(
             .filter(|(_, p)| p.class == class)
             .map(|(i, _)| i)
             .collect();
-        if let [only] = members.as_slice() {
-            // Nothing to share: skip the capture and run the point direct.
-            let p = &plan.points[*only];
-            let outcome =
-                PointOutcome::from_try(try_run_suite_labeled(&p.label, p.config, p.class, params));
-            observe(p, &outcome);
-            outcomes[*only] = Some(outcome);
-            continue;
-        }
         let labeled: Vec<(&str, CpuConfig)> = members
             .iter()
             .map(|&i| (plan.points[i].label.as_str(), plan.points[i].config))
             .collect();
-        for (i, attempt) in members
-            .iter()
-            .zip(try_run_suite_batched(&labeled, class, params))
-        {
-            let outcome = PointOutcome::from_try(attempt);
-            observe(&plan.points[*i], &outcome);
-            outcomes[*i] = Some(outcome);
+        for (&i, outcome) in members.iter().zip(run_points(ctx, &labeled, class, params)) {
+            observe(&plan.points[i], &outcome);
+            outcomes[i] = Some(outcome);
         }
     }
-    Ok(PlanResults {
-        points: plan.points.clone(),
-        outcomes: outcomes
-            .into_iter()
-            .map(|r| r.expect("every plan point resolved"))
-            .collect(),
-    })
-}
-
-/// Runs every point of a plan one at a time, in plan order — the
-/// point-at-a-time reference path [`run_plan`]'s batching must match
-/// byte-for-byte (and the implementation behind `elsq-lab sweep
-/// --no-batch`).
-///
-/// Each point goes through [`crate::driver::run_suite_labeled`] (its plan
-/// label is recorded into the cache manifest), which consults the installed
-/// result cache first — cached points are answered without simulating, so
-/// the worker pool only ever receives cache misses; fresh points fan their
-/// six workloads out in parallel. Cached and fresh results merge into one
-/// `PlanResults`, byte-identical to an uncached run (pinned by the sweep
-/// cache tests).
-///
-/// # Panics
-///
-/// Panics if two points share a `(label, class)` pair.
-pub fn run_plan_each(plan: &SweepPlan, params: &ExperimentParams) -> PlanResults {
-    plan.assert_unique_labels();
-    let outcomes = plan
+    let (points, outcomes) = plan
         .points
         .iter()
-        .map(|p| PointOutcome::from_try(try_run_suite_labeled(&p.label, p.config, p.class, params)))
-        .collect();
+        .zip(outcomes)
+        .filter_map(|(p, o)| Some((p.clone(), o?)))
+        .unzip();
     PlanResults {
-        points: plan.points.clone(),
+        points,
         outcomes,
+        cancelled,
     }
 }
 
@@ -1024,7 +976,11 @@ mod tests {
             sample: None,
         };
         let a = PointKey::current(CpuConfig::ooo64(), WorkloadClass::Fp, &params);
-        assert_eq!(a.trace, None, "no trace override installed");
+        assert_eq!(a.trace, None, "generator-source key");
+        assert_eq!(
+            RunCtx::new(1).point_key(CpuConfig::ooo64(), WorkloadClass::Fp, &params),
+            a
+        );
         let same = PointKey::current(CpuConfig::ooo64(), WorkloadClass::Fp, &params);
         assert_eq!(a.hash(), same.hash());
         let mut distinct = vec![a.clone()];
@@ -1121,9 +1077,43 @@ mod tests {
         let mut plan = SweepPlan::new("mini");
         plan.push("base", CpuConfig::ooo64(), WorkloadClass::Fp);
         plan.push("fmc", CpuConfig::fmc_hash(true), WorkloadClass::Fp);
-        let results = run_plan(&plan, &params);
+        let results = run_plan(&RunCtx::new(2), &plan, &params, |_, _| {});
         assert_eq!(results.suite("base", WorkloadClass::Fp).len(), 6);
         assert!(results.mean_ipc("fmc", WorkloadClass::Fp) > 0.0);
         assert_eq!(results.iter().count(), 2);
+        assert_eq!(results.cancelled(), None);
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_the_plan_at_the_next_class_group() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let params = ExperimentParams {
+            commits: 300,
+            seed: 3,
+            sample: None,
+        };
+        let mut plan = SweepPlan::new("cancel");
+        plan.push("a", CpuConfig::ooo64(), WorkloadClass::Fp);
+        plan.push("b", CpuConfig::ooo64(), WorkloadClass::Fp);
+        plan.push("a", CpuConfig::ooo64(), WorkloadClass::Int);
+        let flag = Arc::new(AtomicBool::new(false));
+        let ctx = RunCtx {
+            cancel: Some(Arc::clone(&flag)),
+            ..RunCtx::new(2)
+        };
+        // Raised while the FP group runs: the group finishes, INT never starts.
+        let results = run_plan(&ctx, &plan, &params, |_, _| {
+            flag.store(true, Ordering::SeqCst)
+        });
+        let why = results.cancelled().expect("the plan was cancelled");
+        assert!(why.contains(&WorkloadClass::Int.to_string()), "{why}");
+        let ran: Vec<&str> = results.iter().map(|(p, _)| p.label.as_str()).collect();
+        assert_eq!(ran, ["a", "b"]);
+        // Raised before the plan starts: nothing runs.
+        assert!(run_plan(&ctx, &plan, &params, |_, _| {})
+            .iter()
+            .next()
+            .is_none());
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`ResultStore`] maps a [`PointKey`] (the canonical content hash of
 //! `(config, class, commits, seed, trace fingerprint)`) to the
-//! [`SimResult`]s of the corresponding suite run. [`crate::driver::run_suite`]
-//! consults the installed store before simulating and writes fresh results
-//! back, so interrupted sweeps resume computing only the missing points and
+//! [`SimResult`]s of the corresponding suite run. [`crate::driver::run_points`]
+//! consults the run context's store before simulating and writes fresh
+//! results back, so interrupted sweeps resume computing only the missing points and
 //! a repeated identical sweep performs zero simulations.
 //!
 //! The layout keeps two properties the sweep workflow depends on:

@@ -32,6 +32,7 @@ use serde::{Deserialize, Serialize, Value};
 use elsq_stats::diff::{degraded_cells, diff_reports};
 use elsq_stats::report::{Cell, ExperimentParams, Report, Table};
 
+use crate::driver::RunCtx;
 use crate::experiments::{find, run_experiment};
 use crate::scenario::{run_plan, sweep_report, ScenarioSpec};
 
@@ -519,9 +520,9 @@ impl Suite {
         }
     }
 
-    /// Runs the suite's target — through the installed result cache, when
-    /// one is in play — and returns its report.
-    pub fn run(&self) -> Result<Report, String> {
+    /// Runs the suite's target under `ctx` — through the context's result
+    /// cache, when it has one — and returns its report.
+    pub fn run(&self, ctx: &RunCtx) -> Result<Report, String> {
         match &self.target {
             SuiteTarget::Experiment(id) => {
                 let experiment = find(id).ok_or_else(|| {
@@ -535,7 +536,7 @@ impl Suite {
                     )
                 })?;
                 let params = self.params.unwrap_or_else(|| experiment.default_params());
-                Ok(run_experiment(experiment, &params))
+                Ok(run_experiment(ctx, experiment, &params))
             }
             SuiteTarget::Scenario(spec) => {
                 let mut spec = spec.clone();
@@ -543,7 +544,7 @@ impl Suite {
                     spec.params = params;
                 }
                 let plan = spec.expand()?;
-                let results = run_plan(&plan, &spec.params);
+                let results = run_plan(ctx, &plan, &spec.params, |_, _| {});
                 Ok(sweep_report(&spec, &plan, &results))
             }
         }
@@ -1476,7 +1477,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(suite.effective_params().unwrap().commits, 300);
-        let report = suite.run().unwrap();
+        let report = suite.run(&RunCtx::new(2)).unwrap();
         assert_eq!(report.id, "sweep-rob-tiny");
         let outcome = evaluate(&suite, &report, Path::new("."));
         assert_eq!(outcome.status(), Status::Pass, "{:?}", outcome.checks);
@@ -1491,7 +1492,7 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        let err = suite.run().unwrap_err();
+        let err = suite.run(&RunCtx::new(2)).unwrap_err();
         assert!(err.contains("unknown experiment `bogus`"), "{err}");
         assert!(err.contains("fig7"), "{err}");
     }

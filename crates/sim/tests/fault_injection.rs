@@ -7,20 +7,19 @@
 //! tests) because an installed fault plan arms *process-global* sites:
 //! a store fault armed here must never be consumable by an unrelated unit
 //! test running in the same process. Within this binary every test
-//! serializes on one lock, since the result-cache slot and the fault slot
-//! are both global.
+//! serializes on one lock, since the fault slot is global.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use elsq_cpu::result::SimResult;
-use elsq_sim::driver::{install_result_cache, try_run_suite_labeled};
-use elsq_sim::scenario::{run_plan, sweep_report, PointKey, ScenarioSpec, SweepPlan};
+use elsq_sim::driver::{run_points, RunCtx};
+use elsq_sim::scenario::{run_plan, sweep_report, PointKey, PointOutcome, ScenarioSpec, SweepPlan};
 use elsq_sim::store::ResultStore;
 use elsq_sim::{install_fault_plan, ExperimentParams, FaultAction, FaultPlan, FaultSpec};
 
-/// The result cache and the fault plan are process-global; every test in
-/// this binary installs at least one of them, so they all serialize here.
+/// The fault plan is process-global; every test in this binary arms it or
+/// runs points it could fire on, so they all serialize here.
 fn slots_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -65,10 +64,18 @@ fn plan_and_params() -> (SweepPlan, ExperimentParams) {
     (plan, spec.params)
 }
 
+/// A two-worker context answering from `store` (`None`: no cache).
+fn ctx(store: Option<&Arc<ResultStore>>) -> RunCtx {
+    RunCtx {
+        cache: store.cloned(),
+        ..RunCtx::new(2)
+    }
+}
+
 /// Per-point mean IPCs of a healthy run — the value-bearing digest the
 /// recovery assertions compare.
-fn run_ipcs(plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
-    run_plan(plan, params)
+fn run_ipcs(ctx: &RunCtx, plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
+    run_plan(ctx, plan, params, |_, _| {})
         .iter()
         .map(|(_, suite)| SimResult::mean_ipc(suite))
         .collect()
@@ -84,11 +91,10 @@ fn panicked_point_degrades_the_sweep_and_a_rerun_recovers() {
     let (plan, params) = plan_and_params();
     let n = plan.len();
     let dir = tmp_dir("panic");
-    let baseline = run_ipcs(&plan, &params);
+    let baseline = run_ipcs(&ctx(None), &plan, &params);
 
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
     let results = {
-        let _cache = install_result_cache(Arc::clone(&store));
         let _faults = install_fault_plan(plan_of(
             "point.sim",
             1,
@@ -97,7 +103,7 @@ fn panicked_point_degrades_the_sweep_and_a_rerun_recovers() {
             },
         ))
         .unwrap();
-        run_plan(&plan, &params)
+        run_plan(&ctx(Some(&store)), &plan, &params, |_, _| {})
     };
 
     assert!(results.is_degraded());
@@ -119,10 +125,7 @@ fn panicked_point_degrades_the_sweep_and_a_rerun_recovers() {
 
     // Fault cleared: resubmission computes only the failed point.
     let store = Arc::new(ResultStore::open(&dir, true).unwrap());
-    let recovered = {
-        let _cache = install_result_cache(Arc::clone(&store));
-        run_ipcs(&plan, &params)
-    };
+    let recovered = run_ipcs(&ctx(Some(&store)), &plan, &params);
     assert_eq!(store.hits(), (n - 1) as u64);
     assert_eq!(store.misses(), 1, "recovery re-runs only the failed point");
     assert_eq!(recovered, baseline, "recovered sweep is byte-identical");
@@ -142,13 +145,12 @@ fn lost_manifest_write_is_healed_by_orphan_adoption() {
 
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
     let first = {
-        let _cache = install_result_cache(Arc::clone(&store));
         // The n-th insert's manifest rewrite vanishes: its point file is
         // durable but the on-disk manifest still lists only n−1 points.
         let _faults =
             install_fault_plan(plan_of("store.manifest.write", n as u64, FaultAction::Lost))
                 .unwrap();
-        run_ipcs(&plan, &params)
+        run_ipcs(&ctx(Some(&store)), &plan, &params)
     };
     assert_eq!(store.misses(), n as u64);
     drop(store);
@@ -157,10 +159,7 @@ fn lost_manifest_write_is_healed_by_orphan_adoption() {
     // file name) and adopted, so the repeated sweep simulates nothing.
     let store = Arc::new(ResultStore::open(&dir, true).unwrap());
     assert_eq!(store.len(), n, "adoption restored the lost point");
-    let second = {
-        let _cache = install_result_cache(Arc::clone(&store));
-        run_ipcs(&plan, &params)
-    };
+    let second = run_ipcs(&ctx(Some(&store)), &plan, &params);
     assert_eq!(store.misses(), 0, "an adopted point must not recompute");
     assert_eq!(store.hits(), n as u64);
     assert_eq!(second, first);
@@ -182,10 +181,9 @@ fn torn_point_write_degrades_and_reopen_refuses_the_fragment() {
 
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
     let results = {
-        let _cache = install_result_cache(Arc::clone(&store));
         let _faults =
             install_fault_plan(plan_of("store.point.write", 1, FaultAction::Torn)).unwrap();
-        run_plan(&plan, &params)
+        run_plan(&ctx(Some(&store)), &plan, &params, |_, _| {})
     };
     let failed = results.failed();
     assert_eq!(failed.len(), 1);
@@ -208,9 +206,9 @@ fn torn_point_write_degrades_and_reopen_refuses_the_fragment() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An ENOSPC-style write-back failure surfaces as `Err(SiteFailure)` from
-/// the fallible driver entry point — site `store.write`, nothing on disk —
-/// and the same point computes cleanly once the fault clears.
+/// An ENOSPC-style write-back failure surfaces as a failed outcome from the
+/// driver — site `store.write`, nothing on disk — and the same point
+/// computes cleanly once the fault clears.
 #[test]
 fn enospc_write_back_is_a_site_failure_not_a_panic() {
     let _serial = slots_lock();
@@ -219,19 +217,22 @@ fn enospc_write_back_is_a_site_failure_not_a_panic() {
     let dir = tmp_dir("enospc");
 
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
-    let _cache = install_result_cache(Arc::clone(&store));
-    let err = {
+    let ctx = ctx(Some(&store));
+    let run = || run_points(&ctx, &[(&point.label, point.config)], point.class, &params).remove(0);
+    let outcome = {
         let _faults =
             install_fault_plan(plan_of("store.point.write", 1, FaultAction::Enospc)).unwrap();
-        try_run_suite_labeled(&point.label, point.config, point.class, &params).unwrap_err()
+        run()
     };
-    assert_eq!(err.site, "store.write");
-    assert!(err.msg.contains("injected ENOSPC"), "{}", err.msg);
+    let PointOutcome::Failed { site, msg } = outcome else {
+        panic!("the write-back must fail");
+    };
+    assert_eq!(site, "store.write");
+    assert!(msg.contains("injected ENOSPC"), "{msg}");
     assert_eq!(store.len(), 0, "a failed write-back leaves no trace");
 
     // Fault gone: the identical call succeeds and caches.
-    try_run_suite_labeled(&point.label, point.config, point.class, &params)
-        .expect("clean retry succeeds");
+    assert!(!run().is_failed(), "clean retry succeeds");
     assert_eq!(store.len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -247,9 +248,13 @@ fn corrupted_point_reads_fail_loudly_instead_of_recomputing() {
     let dir = tmp_dir("read-corrupt");
 
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
-    let _cache = install_result_cache(Arc::clone(&store));
-    try_run_suite_labeled(&point.label, point.config, point.class, &params)
-        .expect("populating run succeeds");
+    let populated = run_points(
+        &ctx(Some(&store)),
+        &[(&point.label, point.config)],
+        point.class,
+        &params,
+    );
+    assert!(!populated[0].is_failed(), "populating run succeeds");
 
     let key = PointKey::current(point.config, point.class, &params);
     let _faults = install_fault_plan(FaultPlan {

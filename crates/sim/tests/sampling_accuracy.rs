@@ -15,11 +15,9 @@
 //! detailed window and bounds the simulated cycles against what the full
 //! detailed run would have to spend.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use elsq_cpu::config::CpuConfig;
 use elsq_cpu::pipeline::Processor;
-use elsq_sim::driver::install_result_cache;
+use elsq_sim::driver::RunCtx;
 use elsq_sim::scenario::{run_plan, sweep_report, Axis, ScenarioSpec};
 use elsq_sim::store::ResultStore;
 use elsq_stats::report::ExperimentParams;
@@ -27,25 +25,6 @@ use elsq_stats::sampling::SamplingSpec;
 use elsq_workload::pointer::PointerChaseInt;
 use elsq_workload::streaming::StreamingFp;
 use elsq_workload::suite::WorkloadClass;
-
-/// Serializes tests that touch process-global state (the `ELSQ_THREADS`
-/// variable and the installed result cache).
-fn run_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with `ELSQ_THREADS` pinned, restoring the previous value.
-fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
-    let previous = std::env::var("ELSQ_THREADS").ok();
-    std::env::set_var("ELSQ_THREADS", threads);
-    let result = f();
-    match previous {
-        Some(value) => std::env::set_var("ELSQ_THREADS", value),
-        None => std::env::remove_var("ELSQ_THREADS"),
-    }
-    result
-}
 
 /// The accuracy claim, per workload: run the full detailed reference, run
 /// the sampled estimate, and require the reference IPC to fall inside the
@@ -139,21 +118,21 @@ fn sampled_scenario() -> ScenarioSpec {
     }
 }
 
-/// Renders the sweep of [`sampled_scenario`] to its canonical JSON bytes.
-fn sampled_sweep_json() -> String {
+/// Renders the sweep of [`sampled_scenario`] on `workers` threads to its
+/// canonical JSON bytes.
+fn sampled_sweep_json(workers: usize) -> String {
     let spec = sampled_scenario();
     let plan = spec.expand().expect("scenario expands");
-    let results = run_plan(&plan, &spec.params);
+    let results = run_plan(&RunCtx::new(workers), &plan, &spec.params, |_, _| {});
     assert!(results.failed().is_empty(), "sweep points must not fail");
     serde_json::to_string_pretty(&sweep_report(&spec, &plan, &results)).expect("reports serialize")
 }
 
 #[test]
 fn sampled_sweeps_are_byte_identical_across_repeats_and_thread_counts() {
-    let _serial = run_lock();
-    let sequential = with_threads("1", sampled_sweep_json);
-    let parallel = with_threads("4", sampled_sweep_json);
-    let repeated = with_threads("4", sampled_sweep_json);
+    let sequential = sampled_sweep_json(1);
+    let parallel = sampled_sweep_json(4);
+    let repeated = sampled_sweep_json(4);
     assert_eq!(
         sequential, parallel,
         "thread count changed the sampled report bytes"
@@ -171,7 +150,6 @@ fn sampled_sweeps_are_byte_identical_across_repeats_and_thread_counts() {
 
 #[test]
 fn sampled_and_full_runs_never_share_cache_entries() {
-    let _serial = run_lock();
     let dir = std::env::temp_dir().join(format!(
         "elsq-sampling-cache-{}-{:?}",
         std::process::id(),
@@ -179,11 +157,14 @@ fn sampled_and_full_runs_never_share_cache_entries() {
     ));
     std::fs::remove_dir_all(&dir).ok();
     let store = std::sync::Arc::new(ResultStore::open(&dir, false).expect("store opens"));
-    let _guard = install_result_cache(std::sync::Arc::clone(&store));
+    let ctx = RunCtx {
+        cache: Some(std::sync::Arc::clone(&store)),
+        ..RunCtx::new(2)
+    };
     let spec = sampled_scenario();
     let plan = spec.expand().expect("scenario expands");
     // Fresh sampled run: every point is a miss.
-    run_plan(&plan, &spec.params);
+    run_plan(&ctx, &plan, &spec.params, |_, _| {});
     assert_eq!((store.hits(), store.misses()), (0, 2));
     // The *full* run of the identical grid must not alias a single sampled
     // entry — it misses and simulates from scratch.
@@ -191,10 +172,10 @@ fn sampled_and_full_runs_never_share_cache_entries() {
         sample: None,
         ..spec.params
     };
-    run_plan(&plan, &full_params);
+    run_plan(&ctx, &plan, &full_params, |_, _| {});
     assert_eq!((store.hits(), store.misses()), (0, 4));
     // Re-running the sampled sweep answers entirely from disk.
-    run_plan(&plan, &spec.params);
+    run_plan(&ctx, &plan, &spec.params, |_, _| {});
     assert_eq!((store.hits(), store.misses()), (2, 4));
     assert_eq!(store.len(), 4);
     std::fs::remove_dir_all(&dir).ok();

@@ -12,7 +12,7 @@
 
 use elsq_cpu::config::CpuConfig;
 use elsq_cpu::result::SimResult;
-use elsq_sim::driver::{run_suite, ExperimentParams};
+use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
 use elsq_stats::energy::{EnergyModel, LsqStructureSpecs, ERT_2KB_READ_NJ, L1_32KB_READ_NJ};
 use elsq_workload::suite::WorkloadClass;
 
@@ -35,12 +35,14 @@ fn main() {
 
     // Mean per-100M access counters, once per (config, class).
     let mut counters = Vec::new();
+    let ctx = RunCtx::from_env();
     for (name, cfg) in [
         ("OoO-64", CpuConfig::ooo64()),
         ("FMC-Hash", CpuConfig::fmc_hash(true)),
     ] {
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            let mean = SimResult::mean_lsq_per_100m(&run_suite(cfg, class, &params));
+            let results = run_points(&ctx, &[(name, cfg)], class, &params).remove(0);
+            let mean = SimResult::mean_lsq_per_100m(&results.unwrap());
             counters.push((name, class, mean));
         }
     }

@@ -8,7 +8,7 @@
 //! cargo run --release -p elsq --example experiment_api [experiment-id]
 //! ```
 
-use elsq_sim::driver::ExperimentParams;
+use elsq_sim::driver::{ExperimentParams, RunCtx};
 use elsq_sim::experiments::{find, registry, run_experiment};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     // Reports carry the parameters, every table, and the wall time; table
     // cells keep the raw f64 next to the formatted string.
     let params = ExperimentParams::quick();
-    let report = run_experiment(experiment, &params);
+    let report = run_experiment(&RunCtx::from_env(), experiment, &params);
     println!("\n{report}");
     println!("completed in {:.1} ms", report.wall_time_ms);
 

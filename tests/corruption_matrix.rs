@@ -14,22 +14,16 @@
 //! a value (checksum/version/identity error).
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use elsq_serve::job::{
     load_records, record_path, write_record, JobRecord, PointEvent, JOB_RECORD_VERSION,
 };
 use elsq_serve::JobState;
-use elsq_sim::driver::install_result_cache;
+use elsq_sim::driver::RunCtx;
 use elsq_sim::scenario::{run_plan, PointKey, ScenarioSpec};
 use elsq_sim::store::ResultStore;
 use elsq_workload::suite::WorkloadClass;
-
-/// The result cache is process-global; serialize the tests that install it.
-fn cache_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("elsq-corrupt-{tag}-{}", std::process::id()));
@@ -57,10 +51,11 @@ fn populate(dir: &Path) -> PointKey {
     let spec = one_point_spec();
     let plan = spec.expand().expect("spec expands");
     let store = Arc::new(ResultStore::open(dir, false).unwrap());
-    {
-        let _guard = install_result_cache(Arc::clone(&store));
-        run_plan(&plan, &spec.params);
-    }
+    let ctx = RunCtx {
+        cache: Some(Arc::clone(&store)),
+        ..RunCtx::new(2)
+    };
+    run_plan(&ctx, &plan, &spec.params, |_, _| {});
     assert_eq!(store.len(), 1);
     let p = &plan.points[0];
     PointKey::current(p.config, p.class, &spec.params)
@@ -100,7 +95,6 @@ fn flip_matrix(path: &Path, expect_in_err: &str, mut check: impl FnMut() -> Opti
 
 #[test]
 fn every_point_file_bit_flip_fails_the_lookup_loudly() {
-    let _serial = cache_lock();
     let dir = tmp_dir("point");
     let key = populate(&dir);
     let point_path = dir.join(format!("point-{}.json", key.hex()));
@@ -116,7 +110,6 @@ fn every_point_file_bit_flip_fails_the_lookup_loudly() {
 
 #[test]
 fn every_manifest_bit_flip_fails_the_reopen_loudly() {
-    let _serial = cache_lock();
     let dir = tmp_dir("manifest");
     populate(&dir);
     let manifest_path = dir.join("manifest.json");

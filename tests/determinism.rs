@@ -57,12 +57,12 @@ fn svw_configs_are_deterministic() {
     assert_identical("fmc_hash_svw", CpuConfig::fmc_hash_svw(10, false));
 }
 
-/// The parallel suite driver must be observably identical — results *and*
-/// ordering — to the sequential reference path for both workload classes,
+/// The suite driver must be observably identical — results *and* ordering
+/// — to the sequential reference loop for both workload classes,
 /// regardless of how many workers the work-stealing pool spins up.
 #[test]
 fn parallel_driver_matches_sequential_driver() {
-    use elsq_sim::driver::{run_suite_sequential, run_suite_with_threads, ExperimentParams};
+    use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
 
     let params = ExperimentParams {
         commits: COMMITS,
@@ -71,9 +71,14 @@ fn parallel_driver_matches_sequential_driver() {
     };
     for cfg in [CpuConfig::ooo64(), CpuConfig::fmc_hash(true)] {
         for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            let sequential = run_suite_sequential(cfg, class, &params);
-            for workers in [2, 4, 6] {
-                let parallel = run_suite_with_threads(cfg, class, &params, workers);
+            let sequential: Vec<SimResult> = suite(class, SEED)
+                .into_iter()
+                .map(|mut w| Processor::new(cfg).run(w.as_mut(), COMMITS))
+                .collect();
+            for workers in [1, 2, 4, 6] {
+                let parallel = run_points(&RunCtx::new(workers), &[("", cfg)], class, &params)
+                    .remove(0)
+                    .unwrap();
                 assert_eq!(
                     parallel.len(),
                     sequential.len(),

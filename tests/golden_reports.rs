@@ -22,6 +22,7 @@
 //!
 //! (each test prints the computed hash) and explain the change in the PR.
 
+use elsq_sim::driver::RunCtx;
 use elsq_sim::experiments::find;
 use elsq_stats::report::ExperimentParams;
 
@@ -44,7 +45,9 @@ fn golden_hash(id: &str) -> u64 {
         sample: None,
     };
     let experiment = find(id).expect("experiment is registered");
-    let report = experiment.run(&params).without_wall_time();
+    let report = experiment
+        .run(&RunCtx::from_env(), &params)
+        .without_wall_time();
     let json = serde_json::to_string(&report).expect("reports always serialize");
     let hash = fnv1a64(json.as_bytes());
     println!("golden hash for {id}: {hash:#018x}");

@@ -8,7 +8,7 @@ use elsq_cpu::config::CpuConfig;
 use elsq_cpu::pipeline::Processor;
 use elsq_cpu::result::SimResult;
 use elsq_isa::TraceSource;
-use elsq_sim::driver::{run_suite, ExperimentParams};
+use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
 use elsq_workload::pointer::PointerChaseInt;
 use elsq_workload::streaming::StreamingFp;
 use elsq_workload::suite::{fp_suite, int_suite, WorkloadClass};
@@ -17,6 +17,12 @@ const COMMITS: u64 = 8_000;
 
 fn run_one(cfg: CpuConfig, workload: &mut dyn TraceSource) -> SimResult {
     Processor::new(cfg).run(workload, COMMITS)
+}
+
+fn run_suite(cfg: CpuConfig, class: WorkloadClass, params: &ExperimentParams) -> Vec<SimResult> {
+    run_points(&RunCtx::from_env(), &[("", cfg)], class, params)
+        .remove(0)
+        .unwrap()
 }
 
 #[test]

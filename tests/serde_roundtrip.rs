@@ -5,7 +5,7 @@
 
 use elsq_cpu::config::CpuConfig;
 use elsq_cpu::result::SimResult;
-use elsq_sim::driver::{run_suite, ExperimentParams};
+use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
 use elsq_sim::experiments;
 use elsq_stats::report::Report;
 use elsq_workload::suite::WorkloadClass;
@@ -62,7 +62,7 @@ fn reports_round_trip_through_json_with_cell_values_intact() {
         sample: None,
     };
     let tuning = experiments::find("tuning").expect("registered");
-    let report = experiments::run_experiment(tuning, &params);
+    let report = experiments::run_experiment(&RunCtx::from_env(), tuning, &params);
     let json = serde_json::to_string_pretty(&report).unwrap();
     let back: Report = serde_json::from_str(&json).unwrap();
     assert_eq!(back, report);
@@ -79,7 +79,10 @@ fn sim_results_round_trip_through_json() {
         seed: 5,
         sample: None,
     };
-    let results = run_suite(CpuConfig::fmc_hash(true), WorkloadClass::Int, &params);
+    let point = [("", CpuConfig::fmc_hash(true))];
+    let results = run_points(&RunCtx::from_env(), &point, WorkloadClass::Int, &params)
+        .remove(0)
+        .unwrap();
     let json = serde_json::to_string(&results).unwrap();
     let back: Vec<SimResult> = serde_json::from_str(&json).unwrap();
     assert_eq!(back, results);

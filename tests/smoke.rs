@@ -6,7 +6,7 @@
 use elsq_core::config::{ElsqConfig, ErtKind};
 use elsq_core::disambig::DisambiguationModel;
 use elsq_cpu::config::CpuConfig;
-use elsq_sim::driver::{run_suite, ExperimentParams};
+use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
 use elsq_workload::suite::WorkloadClass;
 
 /// Every named configuration constructor, plus a couple of explicit ELSQ
@@ -41,9 +41,11 @@ fn every_config_runs_every_workload_class() {
         commits: 1_000,
         ..ExperimentParams::quick()
     };
-    for (name, cfg) in all_configs() {
-        for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            let results = run_suite(cfg, class, &params);
+    let configs = all_configs();
+    for class in [WorkloadClass::Fp, WorkloadClass::Int] {
+        let outcomes = run_points(&RunCtx::from_env(), &configs, class, &params);
+        for ((name, _), outcome) in configs.iter().zip(outcomes) {
+            let results = outcome.unwrap();
             assert_eq!(results.len(), 6, "{name}/{class}: suite size changed");
             for r in &results {
                 assert_eq!(

@@ -5,27 +5,20 @@
 //! * and in both cases the merged report is byte-identical to an uncached
 //!   run.
 //!
-//! The tests drive the driver-level API directly (`install_result_cache` +
-//! `run_plan`); the `elsq-lab sweep` CLI pins the same properties at the
+//! The tests drive the driver-level API directly (a [`RunCtx`] with a
+//! cache + `run_plan`); the `elsq-lab sweep` CLI pins the same properties at the
 //! command level in `crates/bench/src/cli.rs`, and CI repeats them end to
 //! end on a real process boundary.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use elsq_cpu::result::SimResult;
-use elsq_sim::driver::install_result_cache;
+use elsq_sim::driver::RunCtx;
 use elsq_sim::scenario::{run_plan, ScenarioSpec, SweepPlan};
 use elsq_sim::store::ResultStore;
 use elsq_sim::ExperimentParams;
 use elsq_stats::report::Report;
-
-/// The result cache is process-global; libtest runs tests in this binary
-/// concurrently, so every test serializes its install window.
-fn cache_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("elsq-sweep-cache-{tag}-{}", std::process::id()));
@@ -55,10 +48,18 @@ fn plan_and_params() -> (SweepPlan, ExperimentParams) {
     (plan, spec.params)
 }
 
+/// A two-worker context answering from `store` (`None`: no cache).
+fn ctx(store: Option<&Arc<ResultStore>>) -> RunCtx {
+    RunCtx {
+        cache: store.cloned(),
+        ..RunCtx::new(2)
+    }
+}
+
 /// Runs the plan and returns per-point mean IPCs (a compact, fully
 /// value-bearing digest of the results).
-fn run_ipcs(plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
-    run_plan(plan, params)
+fn run_ipcs(ctx: &RunCtx, plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
+    run_plan(ctx, plan, params, |_, _| {})
         .iter()
         .map(|(_, suite)| SimResult::mean_ipc(suite))
         .collect()
@@ -66,17 +67,13 @@ fn run_ipcs(plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
 
 #[test]
 fn repeated_identical_sweep_performs_zero_simulations() {
-    let _serial = cache_lock();
     let (plan, params) = plan_and_params();
     let dir = tmp_dir("repeat");
 
-    let uncached = run_ipcs(&plan, &params);
+    let uncached = run_ipcs(&ctx(None), &plan, &params);
 
     let first_store = Arc::new(ResultStore::open(&dir, false).unwrap());
-    let first = {
-        let _guard = install_result_cache(Arc::clone(&first_store));
-        run_ipcs(&plan, &params)
-    };
+    let first = run_ipcs(&ctx(Some(&first_store)), &plan, &params);
     assert_eq!(first_store.hits(), 0);
     assert_eq!(
         first_store.misses(),
@@ -88,10 +85,7 @@ fn repeated_identical_sweep_performs_zero_simulations() {
 
     // Second identical sweep: zero simulations — every point is a hit.
     let second_store = Arc::new(ResultStore::open(&dir, true).unwrap());
-    let second = {
-        let _guard = install_result_cache(Arc::clone(&second_store));
-        run_ipcs(&plan, &params)
-    };
+    let second = run_ipcs(&ctx(Some(&second_store)), &plan, &params);
     assert_eq!(
         second_store.misses(),
         0,
@@ -107,7 +101,6 @@ fn repeated_identical_sweep_performs_zero_simulations() {
 
 #[test]
 fn interrupted_sweep_resumes_computing_only_the_missing_points() {
-    let _serial = cache_lock();
     let (plan, params) = plan_and_params();
     let n = plan.len();
     let k = 2;
@@ -119,10 +112,7 @@ fn interrupted_sweep_resumes_computing_only_the_missing_points() {
     partial.axes = plan.axes.clone();
     partial.points = plan.points[..k].to_vec();
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
-    {
-        let _guard = install_result_cache(Arc::clone(&store));
-        run_plan(&partial, &params);
-    }
+    run_plan(&ctx(Some(&store)), &partial, &params, |_, _| {});
     assert_eq!(
         store.len(),
         k,
@@ -133,10 +123,7 @@ fn interrupted_sweep_resumes_computing_only_the_missing_points() {
 
     // Resume the full sweep: exactly n−k points simulate.
     let resumed_store = Arc::new(ResultStore::open(&dir, true).unwrap());
-    let resumed = {
-        let _guard = install_result_cache(Arc::clone(&resumed_store));
-        run_ipcs(&plan, &params)
-    };
+    let resumed = run_ipcs(&ctx(Some(&resumed_store)), &plan, &params);
     assert_eq!(resumed_store.hits(), k as u64);
     assert_eq!(
         resumed_store.misses(),
@@ -146,7 +133,7 @@ fn interrupted_sweep_resumes_computing_only_the_missing_points() {
     assert_eq!(resumed_store.len(), n);
 
     // The merged (cached + fresh) results equal an uncached run.
-    assert_eq!(resumed, run_ipcs(&plan, &params));
+    assert_eq!(resumed, run_ipcs(&ctx(None), &plan, &params));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -155,7 +142,6 @@ fn interrupted_sweep_resumes_computing_only_the_missing_points() {
 /// performs zero simulations.
 #[test]
 fn cached_experiment_reports_are_byte_identical() {
-    let _serial = cache_lock();
     let params = ExperimentParams {
         commits: 600,
         seed: 7,
@@ -164,13 +150,11 @@ fn cached_experiment_reports_are_byte_identical() {
     let experiment = elsq_sim::find("fig7").expect("fig7 is registered");
     let dir = tmp_dir("experiment");
 
-    let fresh: Report = experiment.run(&params);
+    let fresh: Report = experiment.run(&ctx(None), &params);
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
-    let (populated, cached) = {
-        let _guard = install_result_cache(Arc::clone(&store));
-        let populated = experiment.run(&params);
-        (populated, experiment.run(&params))
-    };
+    let cached_ctx = ctx(Some(&store));
+    let populated = experiment.run(&cached_ctx, &params);
+    let cached = experiment.run(&cached_ctx, &params);
     assert_eq!(store.misses(), experiment.plan().len() as u64);
     assert_eq!(
         serde_json::to_string(&populated).unwrap(),
