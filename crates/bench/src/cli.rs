@@ -31,10 +31,6 @@ use elsq_stats::sampling::SamplingSpec;
 use elsq_workload::suite::WorkloadClass;
 use serde::Serialize;
 
-use crate::bench::{
-    baseline_from_value, check_against_baseline, default_out_path, run_bench, BenchParams,
-    BENCH_COMMITS, BENCH_COMMITS_QUICK, BENCH_SEED,
-};
 use crate::diff::{degraded_cells, diff_reports, parse_reports};
 use crate::trace::{TraceCmd, TraceDumpArgs, TraceFileArgs};
 
@@ -48,7 +44,6 @@ USAGE:
                                   config grid as JSON
     elsq-lab run [IDS...] [OPTS]  run experiments by id
     elsq-lab sweep [OPTS]         run an ad-hoc or scenario-file config grid
-    elsq-lab bench [OPTS]         measure simulator throughput
     elsq-lab diff A.json B.json [--tol REL]
                                   compare two report files cell-by-cell
     elsq-lab test DIR|FILE... [OPTS]
@@ -169,25 +164,6 @@ TRACE DUMP OPTIONS:
                        checkpoint directory every N instructions, enabling
                        O(1) fast-forward seeks in sampled replays
 
-BENCH OPTIONS:
-    --quick            5k commits per workload instead of 20k
-    --commits N        override committed instructions per workload
-    --seed N           override the workload generator seed
-    --label NAME       report label; also writes BENCH_<NAME>.json
-    --out FILE         write the JSON report to FILE (overrides --label path)
-    --format FORMAT    text | json (default: text)
-    --check FILE       compare against a baseline bench JSON (flat report
-                       or a {before,after} trajectory file); exits non-zero
-                       on regression
-    --max-regress PCT  allowed per-case throughput drop for --check, in
-                       percent (default: 30)
-    --trace DIR        bench over recorded .etrc traces instead of the
-                       generators; stream capture is outside the timed
-                       window either way, so rates stay comparable
-    --sample P:W[:U]   run every roster case sampled (as for `run`); the
-                       rate counts covered instructions (skipped + warmed
-                       + detailed), which is what sampling accelerates
-
 DIFF OPTIONS:
     --tol REL          relative tolerance for numeric cells (default: 0,
                        i.e. exact); text cells always compare exactly
@@ -211,9 +187,10 @@ TEST OPTIONS:
 Experiment ids map to paper artifacts; see docs/EXPERIMENTS.md.";
 
 /// Output format of `elsq-lab run`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
     /// Aligned plain-text tables.
+    #[default]
     Text,
     /// RFC-4180 CSV, one `# title` comment per table.
     Csv,
@@ -310,33 +287,6 @@ pub struct SweepArgs {
     /// Fault plan file to install for the run (`--fault-plan`; overrides
     /// the `FAULT_PLAN` environment variable).
     pub fault_plan: Option<PathBuf>,
-    /// SMARTS-style sampling specification (`--sample P:W[:U]`).
-    pub sample: Option<SamplingSpec>,
-}
-
-/// Parsed `elsq-lab bench` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Use the quick commit budget.
-    pub quick: bool,
-    /// Override the commit budget.
-    pub commits: Option<u64>,
-    /// Override the workload seed.
-    pub seed: Option<u64>,
-    /// Report label; also selects the default `BENCH_<label>.json` path.
-    pub label: Option<String>,
-    /// Explicit output file for the JSON report.
-    pub out: Option<PathBuf>,
-    /// Output format (text or json; csv is rejected at parse time).
-    pub format: OutputFormat,
-    /// Baseline file to compare against.
-    pub check: Option<PathBuf>,
-    /// Allowed per-case throughput regression for `--check`, as a fraction.
-    pub max_regress: f64,
-    /// Replay recorded `.etrc` traces from this directory instead of
-    /// running the generators (setup stays outside the timed window either
-    /// way, so the rates are comparable).
-    pub trace: Option<PathBuf>,
     /// SMARTS-style sampling specification (`--sample P:W[:U]`).
     pub sample: Option<SamplingSpec>,
 }
@@ -440,8 +390,6 @@ pub enum Command {
     Run(RunArgs),
     /// `elsq-lab sweep ...`
     Sweep(SweepArgs),
-    /// `elsq-lab bench ...`
-    Bench(BenchArgs),
     /// `elsq-lab diff a.json b.json`
     Diff(DiffArgs),
     /// `elsq-lab test suites/ ...`
@@ -545,259 +493,481 @@ impl std::error::Error for CliError {}
 
 /// Parses the arguments following the binary name.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => {
-            if let Some(extra) = it.next() {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{extra}` after `list`"
-                )));
-            }
-            Ok(Command::List)
-        }
-        Some("show") => {
-            let id = it
-                .next()
-                .ok_or_else(|| CliError::usage("`show` takes an experiment id"))?;
-            if let Some(extra) = it.next() {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{extra}` after `show {id}`"
-                )));
-            }
-            Ok(Command::Show(id.clone()))
-        }
-        Some("run") => parse_run(it.as_slice()).map(Command::Run),
-        Some("sweep") => parse_sweep(it.as_slice()).map(Command::Sweep),
-        Some("bench") => parse_bench(it.as_slice()).map(Command::Bench),
-        Some("diff") => parse_diff(it.as_slice()).map(Command::Diff),
-        Some("test") => parse_test(it.as_slice()).map(Command::Test),
-        Some("trace") => parse_trace(it.as_slice()).map(Command::Trace),
-        Some("serve") => parse_serve(it.as_slice()).map(Command::Serve),
-        Some("submit") => parse_submit(it.as_slice()).map(Command::Submit),
-        Some("jobs") => parse_connect(it.as_slice(), "jobs").map(Command::Jobs),
-        Some("shutdown") => parse_connect(it.as_slice(), "shutdown").map(Command::Shutdown),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown subcommand `{other}`; try `elsq-lab help`"
-        ))),
-    }
-}
-
-fn parse_bench(args: &[String]) -> Result<BenchArgs, CliError> {
-    let mut bench = BenchArgs {
-        quick: false,
-        commits: None,
-        seed: None,
-        label: None,
-        out: None,
-        format: OutputFormat::Text,
-        check: None,
-        max_regress: 0.30,
-        trace: None,
-        sample: None,
+    let Some((verb, mut rest)) = args.split_first() else {
+        return Ok(Command::Help);
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--quick" => bench.quick = true,
-            "--commits" => bench.commits = Some(parse_num(value_of("--commits")?, "--commits")?),
-            "--seed" => bench.seed = Some(parse_num(value_of("--seed")?, "--seed")?),
-            "--label" => bench.label = Some(value_of("--label")?.clone()),
-            "--out" => bench.out = Some(PathBuf::from(value_of("--out")?)),
-            "--format" => match OutputFormat::parse(value_of("--format")?)? {
-                OutputFormat::Csv => {
-                    return Err(CliError::usage("`bench` supports text or json, not csv"));
-                }
-                format => bench.format = format,
-            },
-            "--check" => bench.check = Some(PathBuf::from(value_of("--check")?)),
-            "--trace" => bench.trace = Some(PathBuf::from(value_of("--trace")?)),
-            "--sample" => bench.sample = Some(parse_sample(value_of("--sample")?)?),
-            "--max-regress" => {
-                let pct: u64 = parse_num(value_of("--max-regress")?, "--max-regress")?;
-                if pct > 100 {
-                    return Err(CliError::usage("`--max-regress` must be 0..=100 percent"));
-                }
-                bench.max_regress = pct as f64 / 100.0;
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{other}` for `bench`"
-                )));
-            }
+    let name = match verb.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "trace" => {
+            let Some((sub, tail)) = rest.split_first() else {
+                return Err(CliError::usage(
+                    "`trace` needs a subcommand: dump, info or verify",
+                ));
+            };
+            rest = tail;
+            format!("trace {sub}")
         }
-    }
-    Ok(bench)
+        other => other.to_owned(),
+    };
+    let verb = VERBS.iter().find(|v| v.name == name).ok_or_else(|| {
+        CliError::usage(match name.strip_prefix("trace ") {
+            Some(sub) => {
+                format!("unknown trace subcommand `{sub}`; expected dump, info or verify")
+            }
+            None => format!("unknown subcommand `{name}`; try `elsq-lab help`"),
+        })
+    })?;
+    (verb.build)(verb.parse_flags(rest)?)
 }
 
-fn parse_diff(args: &[String]) -> Result<DiffArgs, CliError> {
-    let mut files = Vec::new();
-    let mut tol = 0.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tol" => {
+/// A verb's command-line contract: the flags it accepts, whether it takes
+/// operands (ids, files, workloads), and how its arguments are assembled
+/// from the parsed [`Flags`]. Every flag is parsed and validated once, by
+/// [`Flags`]; a verb only chooses which flags it accepts.
+struct Verb {
+    /// The verb as typed (`trace dump` for the two-word verbs).
+    name: &'static str,
+    /// Accepted flags, as space-separated groups.
+    flags: &'static [&'static str],
+    /// Whether the verb takes operands besides its flags.
+    operands: bool,
+    /// Builds the command from the parsed flags, checking the verb's own
+    /// constraints (operand counts, required and conflicting flags).
+    build: fn(Flags) -> Result<Command, CliError>,
+}
+
+/// The flags that describe a sweep grid, shared by `sweep` and `submit`.
+const GRID_FLAGS: &str =
+    "--scenario --axis --base --classes --name --quick --commits --seed --sample --format --out";
+
+/// `(verb, flag, hint)`: a pointer appended to the unknown-option error of
+/// a flag users carry over from a neighbouring verb.
+const HINTS: &[(&str, &str, &str)] = &[
+    (
+        "serve",
+        "--cache",
+        "the daemon's result cache is its `--store DIR`",
+    ),
+    ("submit", "--cache", DAEMON_OWNS_STORE),
+    ("submit", "--resume", DAEMON_OWNS_STORE),
+];
+
+const DAEMON_OWNS_STORE: &str = "the daemon owns the result store (`elsq-lab serve --store DIR`)";
+
+/// Every verb of the CLI.
+const VERBS: &[Verb] = &[
+    Verb {
+        name: "list",
+        flags: &[],
+        operands: false,
+        build: |_| Ok(Command::List),
+    },
+    Verb {
+        name: "show",
+        flags: &[],
+        operands: true,
+        build: build_show,
+    },
+    Verb {
+        name: "run",
+        flags: &[
+            "--all --quick --sequential --commits --seed --sample --format --out",
+            "--jobs --trace --cache --resume",
+        ],
+        operands: true,
+        build: build_run,
+    },
+    Verb {
+        name: "sweep",
+        flags: &[GRID_FLAGS, "--jobs --trace --cache --resume --fault-plan"],
+        operands: false,
+        build: |f| sweep_args(f).map(Command::Sweep),
+    },
+    Verb {
+        name: "diff",
+        flags: &["--tol"],
+        operands: true,
+        build: build_diff,
+    },
+    Verb {
+        name: "test",
+        flags: &["--format --out --jobs --cache --resume"],
+        operands: true,
+        build: build_test,
+    },
+    Verb {
+        name: "trace dump",
+        flags: &["--quick --commits --seed --out --checkpoint-every"],
+        operands: true,
+        build: build_trace_dump,
+    },
+    Verb {
+        name: "trace info",
+        flags: &[],
+        operands: true,
+        build: |f| trace_files("trace info", f).map(|f| Command::Trace(TraceCmd::Info(f))),
+    },
+    Verb {
+        name: "trace verify",
+        flags: &[],
+        operands: true,
+        build: |f| trace_files("trace verify", f).map(|f| Command::Trace(TraceCmd::Verify(f))),
+    },
+    Verb {
+        name: "serve",
+        flags: &["--store --addr --resume --jobs --watchdog --fault-plan"],
+        operands: false,
+        build: build_serve,
+    },
+    Verb {
+        name: "submit",
+        flags: &[GRID_FLAGS, "--connect --timeout --job"],
+        operands: false,
+        build: |mut f| {
+            Ok(Command::Submit(SubmitArgs {
+                connect: f.connect.take().unwrap_or_else(default_addr),
+                job: f.job.take(),
+                timeout: f.timeout.unwrap_or(DEFAULT_CLIENT_TIMEOUT_SECS),
+                grid: sweep_args(f)?,
+            }))
+        },
+    },
+    Verb {
+        name: "jobs",
+        flags: &["--connect --timeout"],
+        operands: false,
+        build: |f| Ok(Command::Jobs(connect_args(f))),
+    },
+    Verb {
+        name: "shutdown",
+        flags: &["--connect --timeout --now"],
+        operands: false,
+        build: |f| Ok(Command::Shutdown(connect_args(f))),
+    },
+];
+
+impl Verb {
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags
+            .iter()
+            .any(|group| group.split_whitespace().any(|f| f == flag))
+    }
+
+    /// The one flag loop: every argument is an accepted flag (with its
+    /// value, when it takes one) or, on verbs that take them, an operand.
+    fn parse_flags(&self, args: &[String]) -> Result<Flags, CliError> {
+        let mut flags = Flags::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                if !self.operands {
+                    return Err(CliError::usage(format!(
+                        "unexpected argument `{arg}` for `{}`",
+                        self.name
+                    )));
+                }
+                flags.operands.push(arg.clone());
+            } else if !self.accepts(arg) {
+                let hint = HINTS
+                    .iter()
+                    .find(|(verb, flag, _)| *verb == self.name && flag == arg)
+                    .map(|(_, _, hint)| format!(": {hint}"))
+                    .unwrap_or_default();
+                return Err(CliError::usage(format!(
+                    "unknown option `{arg}` for `{}`{hint}",
+                    self.name
+                )));
+            } else if !flags.switch(arg) {
                 let value = it
                     .next()
-                    .ok_or_else(|| CliError::usage("`--tol` requires a value"))?;
-                tol = value
+                    .ok_or_else(|| CliError::usage(format!("`{arg}` requires a value")))?;
+                flags.set(arg, value)?;
+            }
+        }
+        if flags.resume && flags.cache.is_none() && self.accepts("--cache") {
+            return Err(CliError::usage("`--resume` requires `--cache DIR`"));
+        }
+        Ok(flags)
+    }
+}
+
+/// Every flag of the CLI, parsed and validated; a verb reads the ones it
+/// accepts. Unset flags keep their defaults (`None`, `false`, text).
+#[derive(Default)]
+struct Flags {
+    operands: Vec<String>,
+    all: bool,
+    quick: bool,
+    sequential: bool,
+    resume: bool,
+    now: bool,
+    commits: Option<u64>,
+    seed: Option<u64>,
+    sample: Option<SamplingSpec>,
+    jobs: Option<usize>,
+    format: OutputFormat,
+    out: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    cache: Option<PathBuf>,
+    fault_plan: Option<PathBuf>,
+    scenario: Option<PathBuf>,
+    axes: Vec<Axis>,
+    base: Option<String>,
+    classes: Option<String>,
+    name: Option<String>,
+    store: Option<PathBuf>,
+    addr: Option<String>,
+    watchdog: Option<u64>,
+    connect: Option<String>,
+    job: Option<String>,
+    timeout: Option<u64>,
+    tol: Option<f64>,
+    checkpoint_every: Option<u64>,
+}
+
+impl Flags {
+    /// Sets `flag` if it is a switch (a flag without a value).
+    fn switch(&mut self, flag: &str) -> bool {
+        let slot = match flag {
+            "--all" => &mut self.all,
+            "--quick" => &mut self.quick,
+            "--sequential" => &mut self.sequential,
+            "--resume" => &mut self.resume,
+            "--now" => &mut self.now,
+            _ => return false,
+        };
+        *slot = true;
+        true
+    }
+
+    /// Parses and validates the value of `flag`.
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), CliError> {
+        let path = || Some(PathBuf::from(value));
+        let text = || Some(value.to_owned());
+        match flag {
+            "--commits" => self.commits = Some(parse_num(value, flag)?),
+            "--seed" => self.seed = Some(parse_num(value, flag)?),
+            "--sample" => self.sample = Some(parse_sample(value)?),
+            "--jobs" => {
+                let n = parse_num(value, flag)?;
+                if n == 0 {
+                    return Err(CliError::usage("`--jobs` must be at least 1"));
+                }
+                self.jobs = Some(n as usize);
+            }
+            "--format" => self.format = OutputFormat::parse(value)?,
+            "--out" => self.out = path(),
+            "--trace" => self.trace = path(),
+            "--cache" => self.cache = path(),
+            "--fault-plan" => self.fault_plan = path(),
+            "--scenario" => self.scenario = path(),
+            "--axis" => self.axes.push(parse_axis_spec(value)?),
+            "--base" => self.base = text(),
+            "--classes" => self.classes = text(),
+            "--name" => self.name = text(),
+            "--store" => self.store = path(),
+            "--addr" => self.addr = text(),
+            "--watchdog" => {
+                let secs = parse_num(value, flag)?;
+                if secs == 0 {
+                    return Err(CliError::usage(
+                        "`--watchdog` must be at least 1 second (omit the flag \
+                         to disable the watchdog)",
+                    ));
+                }
+                self.watchdog = Some(secs);
+            }
+            "--connect" => self.connect = text(),
+            "--job" => {
+                elsq_serve::job::validate_job_id(value).map_err(CliError::usage)?;
+                self.job = text();
+            }
+            "--timeout" => self.timeout = Some(parse_num(value, flag)?),
+            "--tol" => {
+                let tol = value
                     .parse::<f64>()
                     .ok()
                     .filter(|t| t.is_finite() && *t >= 0.0)
                     .ok_or_else(|| {
                         CliError::usage(format!("invalid tolerance `{value}` for `--tol`"))
                     })?;
+                self.tol = Some(tol);
             }
-            flag if flag.starts_with('-') => {
-                return Err(CliError::usage(format!("unknown option `{flag}`")));
+            "--checkpoint-every" => {
+                let every = parse_num(value, flag)?;
+                if every == 0 {
+                    return Err(CliError::usage(
+                        "`--checkpoint-every` must be at least 1 instruction \
+                         (omit the flag to record a plain v1 trace)",
+                    ));
+                }
+                self.checkpoint_every = Some(every);
             }
-            file => files.push(PathBuf::from(file)),
+            other => unreachable!("`{other}` is accepted by a verb but has no parser"),
         }
+        Ok(())
     }
-    let [a, b] = files.as_slice() else {
+}
+
+fn default_addr() -> String {
+    elsq_serve::protocol::DEFAULT_ADDR.to_owned()
+}
+
+fn build_show(f: Flags) -> Result<Command, CliError> {
+    match f.operands.as_slice() {
+        [id] => Ok(Command::Show(id.clone())),
+        [] => Err(CliError::usage("`show` takes an experiment id")),
+        [id, extra, ..] => Err(CliError::usage(format!(
+            "unexpected argument `{extra}` after `show {id}`"
+        ))),
+    }
+}
+
+fn build_run(f: Flags) -> Result<Command, CliError> {
+    if f.all && !f.operands.is_empty() {
+        return Err(CliError::usage(
+            "pass either experiment ids or `--all`, not both",
+        ));
+    }
+    if !f.all && f.operands.is_empty() {
+        return Err(CliError::usage(
+            "no experiments selected; pass ids or `--all` (see `elsq-lab list`)",
+        ));
+    }
+    Ok(Command::Run(RunArgs {
+        ids: f.operands,
+        all: f.all,
+        quick: f.quick,
+        commits: f.commits,
+        seed: f.seed,
+        format: f.format,
+        out: f.out,
+        jobs: f.jobs,
+        sequential: f.sequential,
+        trace: f.trace,
+        cache: f.cache,
+        resume: f.resume,
+        sample: f.sample,
+    }))
+}
+
+/// The grid and run flags of `sweep` (and, without the local-run flags,
+/// of `submit`): a scenario file or ad-hoc axes, never both.
+fn sweep_args(f: Flags) -> Result<SweepArgs, CliError> {
+    if f.scenario.is_some() {
+        if !f.axes.is_empty() || f.base.is_some() || f.classes.is_some() || f.name.is_some() {
+            return Err(CliError::usage(
+                "`--scenario FILE` conflicts with the ad-hoc grid flags \
+                 (--axis/--base/--classes/--name); the file specifies them",
+            ));
+        }
+    } else if f.axes.is_empty() {
+        return Err(CliError::usage(
+            "no grid selected; pass `--axis NAME=V1,V2,...` flags or `--scenario FILE`",
+        ));
+    }
+    Ok(SweepArgs {
+        scenario: f.scenario,
+        axes: f.axes,
+        base: f.base,
+        classes: f.classes,
+        name: f.name,
+        quick: f.quick,
+        commits: f.commits,
+        seed: f.seed,
+        cache: f.cache,
+        resume: f.resume,
+        format: f.format,
+        out: f.out,
+        jobs: f.jobs,
+        trace: f.trace,
+        fault_plan: f.fault_plan,
+        sample: f.sample,
+    })
+}
+
+fn build_diff(f: Flags) -> Result<Command, CliError> {
+    let [a, b] = f.operands.as_slice() else {
         return Err(CliError::usage(
             "`diff` takes exactly two report files: elsq-lab diff a.json b.json",
         ));
     };
-    Ok(DiffArgs {
-        a: a.clone(),
-        b: b.clone(),
-        tol,
-    })
+    Ok(Command::Diff(DiffArgs {
+        a: PathBuf::from(a),
+        b: PathBuf::from(b),
+        tol: f.tol.unwrap_or(0.0),
+    }))
 }
 
-fn parse_test(args: &[String]) -> Result<TestArgs, CliError> {
-    let mut test = TestArgs {
-        paths: Vec::new(),
-        cache: None,
-        resume: false,
-        jobs: None,
-        format: OutputFormat::Text,
-        out: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--cache" => test.cache = Some(PathBuf::from(value_of("--cache")?)),
-            "--resume" => test.resume = true,
-            "--jobs" => {
-                let n: u64 = parse_num(value_of("--jobs")?, "--jobs")?;
-                if n == 0 {
-                    return Err(CliError::usage("`--jobs` must be at least 1"));
-                }
-                test.jobs = Some(n as usize);
-            }
-            "--format" => match OutputFormat::parse(value_of("--format")?)? {
-                OutputFormat::Csv => {
-                    return Err(CliError::usage("`test` supports text or json, not csv"));
-                }
-                format => test.format = format,
-            },
-            "--out" => test.out = Some(PathBuf::from(value_of("--out")?)),
-            flag if flag.starts_with('-') => {
-                return Err(CliError::usage(format!("unknown option `{flag}`")));
-            }
-            path => test.paths.push(PathBuf::from(path)),
-        }
-    }
-    if test.paths.is_empty() {
+fn build_test(f: Flags) -> Result<Command, CliError> {
+    if f.operands.is_empty() {
         return Err(CliError::usage(
             "`test` takes one or more suite files or directories: \
              elsq-lab test suites/",
         ));
     }
-    if test.resume && test.cache.is_none() {
-        return Err(CliError::usage("`--resume` requires `--cache DIR`"));
+    if f.format == OutputFormat::Csv {
+        return Err(CliError::usage("`test` supports text or json, not csv"));
     }
-    Ok(test)
+    Ok(Command::Test(TestArgs {
+        paths: f.operands.into_iter().map(PathBuf::from).collect(),
+        cache: f.cache,
+        resume: f.resume,
+        jobs: f.jobs,
+        format: f.format,
+        out: f.out,
+    }))
 }
 
-fn parse_trace(args: &[String]) -> Result<TraceCmd, CliError> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("dump") => {
-            let mut dump = TraceDumpArgs {
-                workloads: Vec::new(),
-                quick: false,
-                commits: None,
-                seed: None,
-                out: PathBuf::new(),
-                checkpoint_every: None,
-            };
-            let mut out = None;
-            let mut it = it.as_slice().iter();
-            while let Some(arg) = it.next() {
-                let mut value_of = |flag: &str| -> Result<&String, CliError> {
-                    it.next()
-                        .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-                };
-                match arg.as_str() {
-                    "--quick" => dump.quick = true,
-                    "--commits" => {
-                        dump.commits = Some(parse_num(value_of("--commits")?, "--commits")?)
-                    }
-                    "--seed" => dump.seed = Some(parse_num(value_of("--seed")?, "--seed")?),
-                    "--out" => out = Some(PathBuf::from(value_of("--out")?)),
-                    "--checkpoint-every" => {
-                        let every =
-                            parse_num(value_of("--checkpoint-every")?, "--checkpoint-every")?;
-                        if every == 0 {
-                            return Err(CliError::usage(
-                                "`--checkpoint-every` must be at least 1 instruction \
-                                 (omit the flag to record a plain v1 trace)",
-                            ));
-                        }
-                        dump.checkpoint_every = Some(every);
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(CliError::usage(format!("unknown option `{flag}`")));
-                    }
-                    workload => dump.workloads.push(workload.to_owned()),
-                }
-            }
-            dump.out = out.ok_or_else(|| {
-                CliError::usage("`trace dump` requires `--out DIR` for the .etrc files")
-            })?;
-            // Selection semantics (suites vs individual names, no mixing)
-            // are validated by `trace::execute_dump`, which owns them.
-            Ok(TraceCmd::Dump(dump))
-        }
-        Some(sub @ ("info" | "verify")) => {
-            let mut files = Vec::new();
-            for arg in it {
-                if arg.starts_with('-') {
-                    return Err(CliError::usage(format!(
-                        "unknown option `{arg}` for `trace {sub}`"
-                    )));
-                }
-                files.push(PathBuf::from(arg));
-            }
-            if files.is_empty() {
-                return Err(CliError::usage(format!(
-                    "`trace {sub}` takes one or more .etrc files"
-                )));
-            }
-            let files = TraceFileArgs { files };
-            Ok(if sub == "info" {
-                TraceCmd::Info(files)
-            } else {
-                TraceCmd::Verify(files)
-            })
-        }
-        Some(other) => Err(CliError::usage(format!(
-            "unknown trace subcommand `{other}`; expected dump, info or verify"
-        ))),
-        None => Err(CliError::usage(
-            "`trace` needs a subcommand: dump, info or verify",
-        )),
+fn build_trace_dump(f: Flags) -> Result<Command, CliError> {
+    let out = f
+        .out
+        .ok_or_else(|| CliError::usage("`trace dump` requires `--out DIR` for the .etrc files"))?;
+    // Selection semantics (suites vs individual names, no mixing) are
+    // validated by `trace::execute_dump`, which owns them.
+    Ok(Command::Trace(TraceCmd::Dump(TraceDumpArgs {
+        workloads: f.operands,
+        quick: f.quick,
+        commits: f.commits,
+        seed: f.seed,
+        out,
+        checkpoint_every: f.checkpoint_every,
+    })))
+}
+
+fn trace_files(verb: &str, f: Flags) -> Result<TraceFileArgs, CliError> {
+    if f.operands.is_empty() {
+        return Err(CliError::usage(format!(
+            "`{verb}` takes one or more .etrc files"
+        )));
+    }
+    Ok(TraceFileArgs {
+        files: f.operands.into_iter().map(PathBuf::from).collect(),
+    })
+}
+
+fn build_serve(f: Flags) -> Result<Command, CliError> {
+    let Some(store) = f.store else {
+        return Err(CliError::usage(
+            "`serve` requires `--store DIR` — the shared result-store (and \
+             job journal) directory clients will be answered from",
+        ));
+    };
+    Ok(Command::Serve(ServeArgs {
+        addr: f.addr.unwrap_or_else(default_addr),
+        store,
+        resume: f.resume,
+        jobs: f.jobs,
+        watchdog: f.watchdog,
+        fault_plan: f.fault_plan,
+    }))
+}
+
+fn connect_args(f: Flags) -> ConnectArgs {
+    ConnectArgs {
+        connect: f.connect.unwrap_or_else(default_addr),
+        timeout: f.timeout.unwrap_or(DEFAULT_CLIENT_TIMEOUT_SECS),
+        now: f.now,
     }
 }
 
@@ -823,321 +993,6 @@ fn parse_axis_spec(spec: &str) -> Result<Axis, CliError> {
         name: name.to_owned(),
         values,
     })
-}
-
-fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
-    let mut sweep = SweepArgs {
-        scenario: None,
-        axes: Vec::new(),
-        base: None,
-        classes: None,
-        name: None,
-        quick: false,
-        commits: None,
-        seed: None,
-        cache: None,
-        resume: false,
-        format: OutputFormat::Text,
-        out: None,
-        jobs: None,
-        trace: None,
-        fault_plan: None,
-        sample: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--scenario" => sweep.scenario = Some(PathBuf::from(value_of("--scenario")?)),
-            "--axis" => sweep.axes.push(parse_axis_spec(value_of("--axis")?)?),
-            "--base" => sweep.base = Some(value_of("--base")?.clone()),
-            "--classes" => sweep.classes = Some(value_of("--classes")?.clone()),
-            "--name" => sweep.name = Some(value_of("--name")?.clone()),
-            "--quick" => sweep.quick = true,
-            "--commits" => sweep.commits = Some(parse_num(value_of("--commits")?, "--commits")?),
-            "--seed" => sweep.seed = Some(parse_num(value_of("--seed")?, "--seed")?),
-            "--cache" => sweep.cache = Some(PathBuf::from(value_of("--cache")?)),
-            "--resume" => sweep.resume = true,
-            "--format" => sweep.format = OutputFormat::parse(value_of("--format")?)?,
-            "--out" => sweep.out = Some(PathBuf::from(value_of("--out")?)),
-            "--jobs" => {
-                let n: u64 = parse_num(value_of("--jobs")?, "--jobs")?;
-                if n == 0 {
-                    return Err(CliError::usage("`--jobs` must be at least 1"));
-                }
-                sweep.jobs = Some(n as usize);
-            }
-            "--trace" => sweep.trace = Some(PathBuf::from(value_of("--trace")?)),
-            "--sample" => sweep.sample = Some(parse_sample(value_of("--sample")?)?),
-            "--fault-plan" => sweep.fault_plan = Some(PathBuf::from(value_of("--fault-plan")?)),
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{other}` for `sweep`"
-                )));
-            }
-        }
-    }
-    if sweep.scenario.is_some() {
-        if !sweep.axes.is_empty()
-            || sweep.base.is_some()
-            || sweep.classes.is_some()
-            || sweep.name.is_some()
-        {
-            return Err(CliError::usage(
-                "`--scenario FILE` conflicts with the ad-hoc grid flags \
-                 (--axis/--base/--classes/--name); the file specifies them",
-            ));
-        }
-    } else if sweep.axes.is_empty() {
-        return Err(CliError::usage(
-            "no grid selected; pass `--axis NAME=V1,V2,...` flags or `--scenario FILE`",
-        ));
-    }
-    if sweep.resume && sweep.cache.is_none() {
-        return Err(CliError::usage("`--resume` requires `--cache DIR`"));
-    }
-    Ok(sweep)
-}
-
-fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut addr = elsq_serve::protocol::DEFAULT_ADDR.to_owned();
-    let mut store = None;
-    let mut resume = false;
-    let mut jobs = None;
-    let mut watchdog = None;
-    let mut fault_plan = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value_of("--addr")?.clone(),
-            "--store" => store = Some(PathBuf::from(value_of("--store")?)),
-            "--resume" => resume = true,
-            "--jobs" => {
-                let n: u64 = parse_num(value_of("--jobs")?, "--jobs")?;
-                if n == 0 {
-                    return Err(CliError::usage("`--jobs` must be at least 1"));
-                }
-                jobs = Some(n as usize);
-            }
-            "--watchdog" => {
-                let secs: u64 = parse_num(value_of("--watchdog")?, "--watchdog")?;
-                if secs == 0 {
-                    return Err(CliError::usage(
-                        "`--watchdog` must be at least 1 second (omit the flag \
-                         to disable the watchdog)",
-                    ));
-                }
-                watchdog = Some(secs);
-            }
-            "--fault-plan" => fault_plan = Some(PathBuf::from(value_of("--fault-plan")?)),
-            "--cache" => {
-                return Err(CliError::usage(
-                    "`serve` takes `--store DIR`, not `--cache`: the store \
-                     is the daemon's result cache",
-                ));
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{other}` for `serve`"
-                )));
-            }
-        }
-    }
-    let Some(store) = store else {
-        return Err(CliError::usage(
-            "`serve` requires `--store DIR` — the shared result-store (and \
-             job journal) directory clients will be answered from",
-        ));
-    };
-    Ok(ServeArgs {
-        addr,
-        store,
-        resume,
-        jobs,
-        watchdog,
-        fault_plan,
-    })
-}
-
-fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
-    let mut connect = elsq_serve::protocol::DEFAULT_ADDR.to_owned();
-    let mut job = None;
-    let mut timeout = DEFAULT_CLIENT_TIMEOUT_SECS;
-    let mut grid = SweepArgs {
-        scenario: None,
-        axes: Vec::new(),
-        base: None,
-        classes: None,
-        name: None,
-        quick: false,
-        commits: None,
-        seed: None,
-        cache: None,
-        resume: false,
-        format: OutputFormat::Text,
-        out: None,
-        jobs: None,
-        trace: None,
-        fault_plan: None,
-        sample: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--connect" => connect = value_of("--connect")?.clone(),
-            "--job" => job = Some(value_of("--job")?.clone()),
-            "--timeout" => timeout = parse_num(value_of("--timeout")?, "--timeout")?,
-            "--scenario" => grid.scenario = Some(PathBuf::from(value_of("--scenario")?)),
-            "--axis" => grid.axes.push(parse_axis_spec(value_of("--axis")?)?),
-            "--base" => grid.base = Some(value_of("--base")?.clone()),
-            "--classes" => grid.classes = Some(value_of("--classes")?.clone()),
-            "--name" => grid.name = Some(value_of("--name")?.clone()),
-            "--quick" => grid.quick = true,
-            "--commits" => grid.commits = Some(parse_num(value_of("--commits")?, "--commits")?),
-            "--seed" => grid.seed = Some(parse_num(value_of("--seed")?, "--seed")?),
-            "--sample" => grid.sample = Some(parse_sample(value_of("--sample")?)?),
-            "--format" => grid.format = OutputFormat::parse(value_of("--format")?)?,
-            "--out" => grid.out = Some(PathBuf::from(value_of("--out")?)),
-            flag @ ("--cache" | "--resume") => {
-                return Err(CliError::usage(format!(
-                    "`{flag}` is not a `submit` flag: the daemon owns the \
-                     result store (`elsq-lab serve --store DIR`)"
-                )));
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{other}` for `submit`"
-                )));
-            }
-        }
-    }
-    if grid.scenario.is_some() {
-        if !grid.axes.is_empty()
-            || grid.base.is_some()
-            || grid.classes.is_some()
-            || grid.name.is_some()
-        {
-            return Err(CliError::usage(
-                "`--scenario FILE` conflicts with the ad-hoc grid flags \
-                 (--axis/--base/--classes/--name); the file specifies them",
-            ));
-        }
-    } else if grid.axes.is_empty() {
-        return Err(CliError::usage(
-            "no grid selected; pass `--axis NAME=V1,V2,...` flags or `--scenario FILE`",
-        ));
-    }
-    if let Some(id) = &job {
-        elsq_serve::job::validate_job_id(id).map_err(CliError::usage)?;
-    }
-    Ok(SubmitArgs {
-        connect,
-        job,
-        grid,
-        timeout,
-    })
-}
-
-fn parse_connect(args: &[String], verb: &str) -> Result<ConnectArgs, CliError> {
-    let mut connect = elsq_serve::protocol::DEFAULT_ADDR.to_owned();
-    let mut timeout = DEFAULT_CLIENT_TIMEOUT_SECS;
-    let mut now = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--connect" => connect = value_of("--connect")?.clone(),
-            "--timeout" => timeout = parse_num(value_of("--timeout")?, "--timeout")?,
-            "--now" if verb == "shutdown" => now = true,
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected argument `{other}` for `{verb}`"
-                )));
-            }
-        }
-    }
-    Ok(ConnectArgs {
-        connect,
-        timeout,
-        now,
-    })
-}
-
-fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
-    let mut run = RunArgs {
-        ids: Vec::new(),
-        all: false,
-        quick: false,
-        commits: None,
-        seed: None,
-        format: OutputFormat::Text,
-        out: None,
-        jobs: None,
-        sequential: false,
-        trace: None,
-        cache: None,
-        resume: false,
-        sample: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("`{flag}` requires a value")))
-        };
-        match arg.as_str() {
-            "--all" => run.all = true,
-            "--quick" => run.quick = true,
-            "--sequential" => run.sequential = true,
-            "--commits" => run.commits = Some(parse_num(value_of("--commits")?, "--commits")?),
-            "--seed" => run.seed = Some(parse_num(value_of("--seed")?, "--seed")?),
-            "--jobs" => {
-                let n: u64 = parse_num(value_of("--jobs")?, "--jobs")?;
-                if n == 0 {
-                    return Err(CliError::usage("`--jobs` must be at least 1"));
-                }
-                run.jobs = Some(n as usize);
-            }
-            "--format" => run.format = OutputFormat::parse(value_of("--format")?)?,
-            "--out" => run.out = Some(PathBuf::from(value_of("--out")?)),
-            "--trace" => run.trace = Some(PathBuf::from(value_of("--trace")?)),
-            "--cache" => run.cache = Some(PathBuf::from(value_of("--cache")?)),
-            "--resume" => run.resume = true,
-            "--sample" => run.sample = Some(parse_sample(value_of("--sample")?)?),
-            flag if flag.starts_with('-') => {
-                return Err(CliError::usage(format!("unknown option `{flag}`")));
-            }
-            id => run.ids.push(id.to_owned()),
-        }
-    }
-    if run.all && !run.ids.is_empty() {
-        return Err(CliError::usage(
-            "pass either experiment ids or `--all`, not both",
-        ));
-    }
-    if !run.all && run.ids.is_empty() {
-        return Err(CliError::usage(
-            "no experiments selected; pass ids or `--all` (see `elsq-lab list`)",
-        ));
-    }
-    if run.resume && run.cache.is_none() {
-        return Err(CliError::usage("`--resume` requires `--cache DIR`"));
-    }
-    Ok(run)
 }
 
 fn parse_num(s: &str, flag: &str) -> Result<u64, CliError> {
@@ -1681,104 +1536,6 @@ pub fn write_reports(
     Ok(summary)
 }
 
-/// Executes a bench invocation: runs the roster, writes the JSON file when
-/// `--label`/`--out` select one, and applies the `--check` comparison.
-pub fn execute_bench(bench: &BenchArgs) -> Result<String, CliError> {
-    let commits = bench.commits.unwrap_or(if bench.quick {
-        BENCH_COMMITS_QUICK
-    } else {
-        BENCH_COMMITS
-    });
-    let params = BenchParams {
-        commits,
-        seed: bench.seed.unwrap_or(BENCH_SEED),
-        label: bench.label.clone().unwrap_or_else(|| "local".to_owned()),
-        sample: bench.sample,
-    };
-    let replay = ExperimentParams {
-        commits: params.commits,
-        seed: params.seed,
-        sample: None,
-    };
-    let ctx = run_ctx(
-        None,
-        bench.trace.as_deref(),
-        &[("bench", &[WorkloadClass::Fp, WorkloadClass::Int], replay)],
-        None,
-        false,
-    )?;
-    let report = run_bench(&ctx, &params);
-    // In JSON mode, stdout carries *only* the report (so `| jq` works); the
-    // file-write notice and check comparison are text-mode affordances, and
-    // a failed check still reaches stderr through the returned error.
-    let json_only = bench.format == OutputFormat::Json;
-    let mut output = if json_only {
-        let mut json =
-            serde_json::to_string_pretty(&report).expect("bench reports always serialize");
-        json.push('\n');
-        json
-    } else {
-        report.render()
-    };
-    let path = bench
-        .out
-        .clone()
-        .or_else(|| bench.label.as_deref().map(default_out_path));
-    if let Some(path) = path {
-        let json = serde_json::to_string_pretty(&report).expect("bench reports always serialize");
-        std::fs::write(&path, json)
-            .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))?;
-        if !json_only {
-            output.push_str(&format!("wrote {}\n", path.display()));
-        }
-    }
-    if let Some(baseline_path) = &bench.check {
-        let text = std::fs::read_to_string(baseline_path).map_err(|e| {
-            CliError::runtime(format!("cannot read {}: {e}", baseline_path.display()))
-        })?;
-        let value: serde::Value = serde_json::from_str(&text).map_err(|e| {
-            CliError::runtime(format!("cannot parse {}: {e}", baseline_path.display()))
-        })?;
-        let baseline = baseline_from_value(&value).map_err(|e| {
-            CliError::runtime(format!(
-                "{} is not a bench report: {e}",
-                baseline_path.display()
-            ))
-        })?;
-        // Rates only compare like-for-like: a 5k-commit run measures
-        // 1-2x the per-second rate of a 20k-commit run (warm-up dominates
-        // differently), which would hollow out the threshold.
-        if (baseline.commits, baseline.seed) != (report.commits, report.seed) {
-            return Err(CliError::runtime(format!(
-                "baseline {} was recorded at commits={} seed={} but this run used \
-                 commits={} seed={}; throughput rates are not comparable across \
-                 budgets — pass matching --commits/--seed or re-record the baseline",
-                baseline_path.display(),
-                baseline.commits,
-                baseline.seed,
-                report.commits,
-                report.seed
-            )));
-        }
-        match check_against_baseline(&report, &baseline, bench.max_regress) {
-            Ok(comparison) => {
-                if !json_only {
-                    output.push_str(&comparison);
-                    output.push_str("throughput check passed\n");
-                }
-            }
-            Err(comparison) => {
-                return Err(CliError::runtime(format!(
-                    "{comparison}throughput regressed more than {:.0}% vs {}",
-                    bench.max_regress * 100.0,
-                    baseline_path.display()
-                )));
-            }
-        }
-    }
-    Ok(output)
-}
-
 /// Executes a diff invocation; a mismatch is a runtime error (exit code 1)
 /// whose message lists every differing cell. A file containing degraded
 /// `FAILED (<site>)` cells is refused with [`EXIT_DEGRADED`] before any
@@ -2081,7 +1838,6 @@ pub fn run_cli(args: &[String]) -> Result<CliRun, CliError> {
                 exit_code: if degraded { EXIT_DEGRADED } else { 0 },
             })
         }
-        Command::Bench(bench) => execute_bench(&bench).map(CliRun::ok),
         Command::Diff(diff) => execute_diff(&diff).map(CliRun::ok),
         Command::Test(test) => {
             let outcome = execute_test(&test)?;
@@ -2130,6 +1886,22 @@ mod tests {
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    /// [`parse`] of `run ARGS`, unwrapped to the run's arguments.
+    fn parse_run(rest: &[String]) -> Result<RunArgs, CliError> {
+        match parse(&[args(&["run"]), rest.to_vec()].concat())? {
+            Command::Run(run) => Ok(run),
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
+    /// [`parse`] of `test ARGS`, unwrapped to the test verb's arguments.
+    fn parse_test(rest: &[String]) -> Result<TestArgs, CliError> {
+        match parse(&[args(&["test"]), rest.to_vec()].concat())? {
+            Command::Test(test) => Ok(test),
+            other => panic!("expected test, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2226,55 +1998,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_bench_flags() {
-        let cmd = parse(&args(&[
-            "bench",
-            "--quick",
-            "--commits",
-            "900",
-            "--seed",
-            "3",
-            "--label",
-            "PR3",
-            "--out",
-            "bench.json",
-            "--format",
-            "json",
-            "--check",
-            "BENCH_PR3.json",
-            "--max-regress",
-            "40",
-            "--trace",
-            "traces/",
-        ]))
-        .unwrap();
-        let Command::Bench(b) = cmd else {
-            panic!("expected bench");
-        };
-        assert!(b.quick);
-        assert_eq!(b.commits, Some(900));
-        assert_eq!(b.seed, Some(3));
-        assert_eq!(b.label.as_deref(), Some("PR3"));
-        assert_eq!(b.out, Some(PathBuf::from("bench.json")));
-        assert_eq!(b.format, OutputFormat::Json);
-        assert_eq!(b.check, Some(PathBuf::from("BENCH_PR3.json")));
-        assert!((b.max_regress - 0.40).abs() < 1e-12);
-        assert_eq!(b.trace, Some(PathBuf::from("traces/")));
-    }
-
-    #[test]
-    fn parse_bench_rejects_bad_usage() {
-        assert!(parse(&args(&["bench", "--format", "csv"])).is_err());
-        assert!(parse(&args(&["bench", "--max-regress", "150"])).is_err());
-        assert!(parse(&args(&["bench", "stray"])).is_err());
-        let Command::Bench(b) = parse(&args(&["bench"])).unwrap() else {
-            panic!("bare bench parses");
-        };
-        assert!((b.max_regress - 0.30).abs() < 1e-12);
-        assert_eq!(b.format, OutputFormat::Text);
-    }
-
-    #[test]
     fn parse_sample_flag_on_every_verb() {
         let Command::Run(run) = parse(&args(&["run", "fig7", "--sample", "1000:100:50"])).unwrap()
         else {
@@ -2288,10 +2011,6 @@ mod tests {
             panic!("expected sweep");
         };
         assert_eq!(s.sample, Some(SamplingSpec::new(2000, 200, 0).unwrap()));
-        let Command::Bench(b) = parse(&args(&["bench", "--sample", "1000:100"])).unwrap() else {
-            panic!("expected bench");
-        };
-        assert_eq!(b.sample, Some(SamplingSpec::new(1000, 100, 0).unwrap()));
         let Command::Submit(sub) = parse(&args(&[
             "submit", "--axis", "rob=48", "--sample", "1000:100",
         ]))
@@ -2303,6 +2022,197 @@ mod tests {
         let fig7 = elsq_sim::experiments::find("fig7").unwrap();
         assert_eq!(effective_params(fig7, &run).sample, run.sample);
         assert_eq!(sweep_spec(&s).unwrap().params.sample, s.sample);
+    }
+
+    /// A minimal valid command line for `verb` (a [`VERBS`] name).
+    fn minimal(verb: &str) -> Vec<String> {
+        let rest: &[&str] = match verb {
+            "show" | "run" => &["fig7"],
+            "sweep" | "submit" => &["--axis", "rob=64"],
+            "diff" => &["a.json", "b.json"],
+            "test" => &["suites/"],
+            "trace dump" => &["--out", "t/"],
+            "trace info" | "trace verify" => &["a.etrc"],
+            "serve" => &["--store", "s/"],
+            _ => &[],
+        };
+        verb.split(' ')
+            .chain(rest.iter().copied())
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// The value of `flag` in a parsed command, in `Debug` form so every
+    /// type compares alike (`None` when the command has no such field).
+    fn flag_value(cmd: &Command, flag: &str) -> Option<String> {
+        let d = |v: &dyn std::fmt::Debug| Some(format!("{v:?}"));
+        let grid = |s: &SweepArgs| match flag {
+            "--scenario" => d(&s.scenario),
+            "--axis" => d(&s.axes),
+            "--base" => d(&s.base),
+            "--classes" => d(&s.classes),
+            "--name" => d(&s.name),
+            "--quick" => d(&s.quick),
+            "--commits" => d(&s.commits),
+            "--seed" => d(&s.seed),
+            "--sample" => d(&s.sample),
+            "--format" => d(&s.format),
+            "--out" => d(&s.out),
+            "--jobs" => d(&s.jobs),
+            "--trace" => d(&s.trace),
+            "--cache" => d(&s.cache),
+            "--resume" => d(&s.resume),
+            "--fault-plan" => d(&s.fault_plan),
+            _ => None,
+        };
+        match cmd {
+            Command::Run(r) => match flag {
+                "--quick" => d(&r.quick),
+                "--commits" => d(&r.commits),
+                "--seed" => d(&r.seed),
+                "--sample" => d(&r.sample),
+                "--format" => d(&r.format),
+                "--out" => d(&r.out),
+                "--jobs" => d(&r.jobs),
+                "--trace" => d(&r.trace),
+                "--cache" => d(&r.cache),
+                "--resume" => d(&r.resume),
+                _ => None,
+            },
+            Command::Sweep(s) => grid(s),
+            Command::Submit(s) => match flag {
+                "--connect" => d(&s.connect),
+                "--timeout" => d(&s.timeout),
+                _ => grid(&s.grid),
+            },
+            Command::Test(t) => match flag {
+                "--format" => d(&t.format),
+                "--out" => d(&t.out),
+                "--jobs" => d(&t.jobs),
+                "--cache" => d(&t.cache),
+                "--resume" => d(&t.resume),
+                _ => None,
+            },
+            Command::Trace(TraceCmd::Dump(t)) => match flag {
+                "--quick" => d(&t.quick),
+                "--commits" => d(&t.commits),
+                "--seed" => d(&t.seed),
+                // Required here, optional elsewhere: compare the path.
+                "--out" => d(&Some(&t.out)),
+                _ => None,
+            },
+            Command::Serve(s) => match flag {
+                "--resume" => d(&s.resume),
+                "--jobs" => d(&s.jobs),
+                "--fault-plan" => d(&s.fault_plan),
+                _ => None,
+            },
+            Command::Jobs(c) | Command::Shutdown(c) => match flag {
+                "--connect" => d(&c.connect),
+                "--timeout" => d(&c.timeout),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn shared_flags_parse_alike_on_every_verb_and_unknown_ones_name_it() {
+        // 1. A flag accepted by two or more verbs parses to the same value
+        //    on each of them, and that value differs from the default.
+        let sample_value = |flag: &str| match flag {
+            "--scenario" => "s.json",
+            "--axis" => "rob=48",
+            "--base" => "fmc-hash",
+            "--classes" => "fp",
+            "--name" => "x",
+            "--commits" => "123",
+            "--seed" => "9",
+            "--sample" => "1000:100:50",
+            "--jobs" => "3",
+            "--format" => "json",
+            "--out" => "o/",
+            "--trace" => "t/",
+            "--cache" => "c/",
+            "--fault-plan" => "f.json",
+            "--connect" => "127.0.0.1:7",
+            "--timeout" => "5",
+            other => panic!("shared flag `{other}` needs a sample value here"),
+        };
+        let mut all_flags: Vec<&str> = VERBS
+            .iter()
+            .flat_map(|v| v.flags.iter())
+            .flat_map(|g| g.split_whitespace())
+            .collect();
+        all_flags.sort_unstable();
+        all_flags.dedup();
+        let mut shared = 0;
+        for flag in all_flags {
+            // Every accepted flag has a parser (this panics otherwise).
+            let mut flags = Flags::default();
+            if !flags.switch(flag) {
+                let _ = flags.set(flag, "1");
+            }
+            let verbs: Vec<&Verb> = VERBS.iter().filter(|v| v.accepts(flag)).collect();
+            if verbs.len() < 2 {
+                continue;
+            }
+            shared += 1;
+            let mut seen: Option<(String, &str)> = None;
+            for verb in verbs {
+                let base = minimal(verb.name);
+                // A scenario file replaces the minimal line's ad-hoc axis.
+                let mut line = if flag == "--scenario" {
+                    vec![verb.name.to_owned()]
+                } else {
+                    base.clone()
+                };
+                line.push(flag.to_owned());
+                if !Flags::default().switch(flag) {
+                    line.push(sample_value(flag).to_owned());
+                } else if flag == "--resume" && verb.accepts("--cache") {
+                    line.extend(args(&["--cache", "c/"]));
+                }
+                let before = flag_value(&parse(&base).unwrap(), flag);
+                let after = flag_value(&parse(&line).unwrap(), flag)
+                    .unwrap_or_else(|| panic!("`{}` drops `{flag}`", verb.name));
+                assert_ne!(
+                    before.as_ref(),
+                    Some(&after),
+                    "{line:?} left `{flag}` unset"
+                );
+                match &seen {
+                    Some((value, first)) => assert_eq!(
+                        &after, value,
+                        "`{flag}` parses differently on `{}` and `{first}`",
+                        verb.name
+                    ),
+                    None => seen = Some((after, verb.name)),
+                }
+            }
+        }
+        assert!(shared >= 10, "only {shared} shared flags found");
+        // 2. Every verb rejects an unknown flag with exit 2, naming itself.
+        for verb in VERBS {
+            let mut line = minimal(verb.name);
+            line.push("--bogus".to_owned());
+            let err = parse(&line).unwrap_err();
+            assert_eq!((err.exit_code, err.show_usage), (2, true), "{line:?}");
+            assert_eq!(
+                err.message,
+                format!("unknown option `--bogus` for `{}`", verb.name)
+            );
+        }
+        // 3. The retired throughput verb is an unknown subcommand.
+        for line in [&["bench"][..], &["bench", "--quick"]] {
+            let err = parse(&args(line)).unwrap_err();
+            assert_eq!(err.exit_code, 2);
+            assert!(
+                err.message.contains("unknown subcommand `bench`"),
+                "{}",
+                err.message
+            );
+        }
     }
 
     #[test]
@@ -2607,75 +2517,6 @@ mod tests {
             "{}",
             err.message
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_check_rejects_mismatched_budget_baseline() {
-        let dir = std::env::temp_dir().join(format!("elsq-bench-budget-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("base.json");
-        let base = BenchArgs {
-            quick: false,
-            commits: Some(200),
-            seed: Some(7),
-            label: None,
-            out: Some(out.clone()),
-            format: OutputFormat::Json,
-            check: None,
-            max_regress: 0.30,
-            trace: None,
-            sample: None,
-        };
-        execute_bench(&base).unwrap();
-        // Same seed, different commit budget: rates are not comparable.
-        let err = execute_bench(&BenchArgs {
-            commits: Some(400),
-            check: Some(out),
-            out: None,
-            ..base
-        })
-        .unwrap_err();
-        assert_eq!(err.exit_code, 1);
-        assert!(err.message.contains("not comparable"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_end_to_end_writes_and_checks() {
-        let dir = std::env::temp_dir().join(format!("elsq-bench-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("bench.json");
-        let bench = BenchArgs {
-            quick: false,
-            commits: Some(200),
-            seed: Some(7),
-            label: None,
-            out: Some(out.clone()),
-            format: OutputFormat::Json,
-            check: None,
-            max_regress: 0.30,
-            trace: None,
-            sample: None,
-        };
-        let output = execute_bench(&bench).unwrap();
-        assert!(output.contains("minst_per_sec"));
-        assert!(out.exists());
-        // JSON mode keeps stdout pure JSON (no "wrote ..." trailer).
-        let parsed: crate::bench::BenchReport = serde_json::from_str(&output).unwrap();
-        assert_eq!(parsed.cases.len(), 7);
-        // A fresh run checked against its own numbers passes (a near-100%
-        // threshold keeps the tiny 200-commit run immune to timer noise on a
-        // loaded test host; CI uses the real budget with the default 30%).
-        let checked = execute_bench(&BenchArgs {
-            check: Some(out.clone()),
-            out: None,
-            format: OutputFormat::Text,
-            max_regress: 0.95,
-            ..bench
-        })
-        .unwrap();
-        assert!(checked.contains("throughput check passed"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,7 +13,7 @@
 //! byte-for-byte says nothing about the figures they replaced.
 //!
 //! A mismatch produces a non-zero exit with one line per differing cell, so
-//! figure accuracy and bench trajectories are regression-trackable from CI:
+//! figure accuracy is regression-trackable from CI:
 //!
 //! ```text
 //! elsq-lab run fig7 --quick --format json --out a/

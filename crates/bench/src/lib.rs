@@ -1,4 +1,4 @@
-//! Benchmark harness and the `elsq-lab` CLI for the ELSQ reproduction.
+//! The `elsq-lab` command line for the ELSQ reproduction.
 //!
 //! * `src/bin/elsq_lab.rs` — the single `elsq-lab` binary. It lists and
 //!   runs registered experiments by id (`cargo run --release -p elsq-bench
@@ -6,49 +6,13 @@
 //!   one-shot figure binaries.
 //! * [`cli`] — argument parsing and execution behind the binary, exposed as
 //!   plain functions so the unit tests drive the full pipeline in-process.
-//! * `benches/` — `cargo bench` targets: reduced-size versions of the same
-//!   experiments (so a bench run regenerates every artifact in minutes) plus
-//!   Criterion microbenchmarks of the ELSQ data structures (`lsq_micro`).
+//!
+//! Simulator speed is measured by the repository benchmark in `perfbench/`
+//! (see `perfbench/README.md`), which drives these same functions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cli;
 pub mod diff;
 pub mod trace;
-
-use elsq_sim::driver::ExperimentParams;
-
-/// Parameters used by paper-scale experiment runs (`elsq-lab run` without
-/// `--quick` uses each experiment's own default, which is this preset for
-/// the non-sweep experiments).
-pub fn full_params() -> ExperimentParams {
-    ExperimentParams::standard()
-}
-
-/// Parameters used by the `cargo bench` targets (smaller, so the whole bench
-/// suite completes quickly).
-pub fn bench_params() -> ExperimentParams {
-    ExperimentParams {
-        commits: 8_000,
-        seed: 7,
-        sample: None,
-    }
-}
-
-/// Parameters for the wide sweeps (Figure 8 and Figure 10).
-pub fn sweep_params() -> ExperimentParams {
-    ExperimentParams::sweep()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parameter_presets_are_ordered_by_cost() {
-        assert!(bench_params().commits <= full_params().commits);
-        assert!(sweep_params().commits <= full_params().commits);
-    }
-}

@@ -213,8 +213,9 @@ fn build_suite(
 /// the same spec and budget.
 ///
 /// This is the setup half of [`run_points`], exposed so callers that time
-/// simulation (the `elsq-lab bench` subcommand) can capture outside the
-/// measured window and drive pipelines off cursors alone.
+/// simulation can capture outside the measured window and drive pipelines
+/// off cursors alone. The repository's own speed measurement is the
+/// end-to-end benchmark described in `perfbench/README.md`.
 ///
 /// # Panics
 ///

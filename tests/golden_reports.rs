@@ -11,7 +11,9 @@
 //! `fig7` exercises the central LSQ plus every ELSQ variant (line/hash ERT,
 //! with and without the SQM) over both workload suites; `table2` pins the
 //! access *counters*, which are the most sensitive observers of the search
-//! paths (one extra or missing queue search changes a column).
+//! paths (one extra or missing queue search changes a column). A third test
+//! pins the raw `committed`/`cycles` totals of seven configuration/suite
+//! pairs, one of them sampled.
 //!
 //! If a future PR changes simulation semantics *intentionally*, re-record
 //! the constants with:
@@ -22,9 +24,14 @@
 //!
 //! (each test prints the computed hash) and explain the change in the PR.
 
+use elsq_cpu::config::CpuConfig;
+use elsq_cpu::pipeline::Processor;
 use elsq_sim::driver::RunCtx;
 use elsq_sim::experiments::find;
 use elsq_stats::report::ExperimentParams;
+use elsq_stats::sampling::SamplingSpec;
+use elsq_workload::suite::suite;
+use elsq_workload::suite::WorkloadClass::{Fp, Int};
 
 /// 64-bit FNV-1a over the serialized report.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -72,4 +79,50 @@ fn table2_quick_report_is_bit_stable() {
         "table2 access counters changed: a queue search was added, dropped \
          or reordered (see tests/golden_reports.rs for how to re-record)"
     );
+}
+
+/// Suite-summed `committed` and `cycles` of seven configuration/suite pairs
+/// at 5k commits per workload, seed 7: the OoO-64 baseline and the Figure 7
+/// large-window schemes, plus OoO-64 on FP sampled at `500:50:25`, whose
+/// `committed` counts every covered instruction (detailed, skipped and
+/// warmed). These are the simulated columns of the former throughput
+/// roster; wall time is deliberately not part of the pin.
+#[test]
+fn roster_committed_and_cycles_are_pinned() {
+    const COMMITS: u64 = 5_000;
+    let sampled = Some(SamplingSpec::parse("500:50:25").expect("valid spec"));
+    let (ooo, hash, line) = (
+        CpuConfig::ooo64(),
+        CpuConfig::fmc_hash(true),
+        CpuConfig::fmc_line(true),
+    );
+    let ideal = CpuConfig::fmc_central_ideal();
+    let cases = [
+        ("ooo64/int", ooo, Int, None, 1_171_208),
+        ("ooo64/fp", ooo, Fp, None, 508_335),
+        ("fmc-hash-sqm/int", hash, Int, None, 1_204_623),
+        ("fmc-hash-sqm/fp", hash, Fp, None, 469_885),
+        ("fmc-line-sqm/fp", line, Fp, None, 117_167),
+        ("central-ideal/fp", ideal, Fp, None, 469_381),
+        ("ooo64/fp-sampled", ooo, Fp, sampled, 52_941),
+    ];
+    for (id, config, class, sample, cycles) in cases {
+        let (mut got_committed, mut got_cycles) = (0u64, 0u64);
+        for mut workload in suite(class, 7) {
+            let result = match sample {
+                Some(spec) => Processor::new(config).run_sampled(workload.as_mut(), COMMITS, spec),
+                None => Processor::new(config).run(workload.as_mut(), COMMITS),
+            };
+            got_committed += result.sim.committed;
+            if let Some(sampling) = &result.sampling {
+                got_committed += sampling.skipped + sampling.warmed;
+            }
+            got_cycles += result.sim.cycles;
+        }
+        assert_eq!(
+            (got_committed, got_cycles),
+            (30_000, cycles),
+            "{id}: simulated committed/cycles totals changed"
+        );
+    }
 }
