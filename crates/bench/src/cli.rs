@@ -1301,6 +1301,9 @@ pub fn execute_serve(serve: &ServeArgs) -> Result<String, CliError> {
 /// returns the (degraded) report with exit code [`EXIT_DEGRADED`].
 pub fn execute_submit(submit: &SubmitArgs) -> Result<CliRun, CliError> {
     let spec = sweep_spec(&submit.grid)?;
+    // The daemon expands the spec too; expanding here first makes a grid
+    // that cannot be planned the same usage error `sweep` reports.
+    spec.expand().map_err(CliError::usage)?;
     // JSON-to-stdout stays pure JSON (`| jq` works); in every other mode
     // progress streams to stdout as the daemon reports it.
     let stream_progress = submit.grid.format != OutputFormat::Json || submit.grid.out.is_some();
@@ -1671,9 +1674,11 @@ pub fn execute_test(test: &TestArgs) -> Result<TestOutcome, CliError> {
     let outcomes = suites
         .iter()
         .map(|(path, suite)| {
+            // A target that cannot be planned (an unknown experiment, a
+            // scenario that does not expand) is a mistake in the suite file.
             let report = suite
                 .run(&ctx)
-                .map_err(|e| CliError::runtime(format!("suite {}: {e}", path.display())))?;
+                .map_err(|e| CliError::usage(format!("suite {}: {e}", path.display())))?;
             // Relative `tolerance` golden paths resolve against the suite
             // file's own directory.
             let golden_dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
@@ -2661,6 +2666,68 @@ mod tests {
         let err = execute_sweep(&s).unwrap_err();
         assert_eq!(err.exit_code, 2);
         assert!(err.message.contains("declared twice"), "{}", err.message);
+    }
+
+    #[test]
+    fn impossible_grid_points_are_usage_errors() {
+        // Each of these expands to a configuration no simulation can run; a
+        // retry cannot help, so the sweep fails at plan time with exit 2,
+        // naming the point and the reason, before simulating anything.
+        for (axis, reason) in [
+            ("ports=0", "cache port count 0 must be between 1 and 255"),
+            ("issue=0", "issue width 0 must be between 1 and 255"),
+            ("rob=0", "the ROB must hold at least one entry"),
+            ("l1assoc=0", "L1 cache: associativity must be at least 1"),
+            ("l2mb=0", "L2 cache: number of sets 0 is not a power of two"),
+            (
+                "l1kb=3",
+                "L1 cache: number of sets 24 is not a power of two",
+            ),
+            ("epochs=0", "ELSQ: epoch count 0 must be between 1 and 32"),
+        ] {
+            let Command::Sweep(s) =
+                parse(&args(&["sweep", "--axis", axis, "--commits", "1000"])).unwrap()
+            else {
+                panic!("expected sweep");
+            };
+            let err = execute_sweep(&s).unwrap_err();
+            assert_eq!(err.exit_code, 2, "{axis}: {}", err.message);
+            assert!(
+                err.message.contains(&format!("point `{axis}`")) && err.message.contains(reason),
+                "{axis}: {}",
+                err.message
+            );
+        }
+        // `submit` refuses the same grid before connecting anywhere.
+        let Command::Submit(s) = parse(&args(&[
+            "submit",
+            "--connect",
+            "127.0.0.1:9",
+            "--axis",
+            "l1kb=3",
+        ]))
+        .unwrap() else {
+            panic!("expected submit");
+        };
+        let err = execute_submit(&s).unwrap_err();
+        assert_eq!(err.exit_code, 2, "{}", err.message);
+        assert!(err.message.contains("point `l1kb=3`"), "{}", err.message);
+        // So does `test` for a suite whose inline scenario has such a point.
+        let dir = tmp_dir("impossible-point");
+        let suite = dir.join("bad.json");
+        std::fs::write(
+            &suite,
+            r#"{"name": "bad", "scenario": {"name": "bad", "base": "fmc-hash",
+                "axes": [{"name": "l1kb", "values": ["32", "3"]}], "classes": ["fp"],
+                "params": {"commits": 300, "seed": 5}},
+               "assertions": [{"name": "ipc", "kind": "bound", "column": "mean IPC", "min": 0}]}"#,
+        )
+        .unwrap();
+        let test = parse_test(&[suite.display().to_string()]).unwrap();
+        let err = execute_test(&test).unwrap_err();
+        assert_eq!(err.exit_code, 2, "{}", err.message);
+        assert!(err.message.contains("point `l1kb=3`"), "{}", err.message);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -172,6 +172,33 @@ impl CpuConfig {
         cfg
     }
 
+    /// Checks that the configuration can be simulated: widths and port
+    /// counts in `1..=255` (port schedules count each cycle's use in a
+    /// `u8`), a ROB of at least one entry, valid L1 and L2 geometry and,
+    /// for an ELSQ, a valid ELSQ configuration.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("fetch width", self.fetch_width),
+            ("commit width", self.commit_width),
+            ("issue width", self.issue_width),
+            ("cache port count", self.cache_ports),
+        ] {
+            if !(1..=255).contains(&value) {
+                return Err(format!("{name} {value} must be between 1 and 255"));
+            }
+        }
+        if self.rob_size == 0 {
+            return Err("the ROB must hold at least one entry".to_owned());
+        }
+        let h = &self.hierarchy;
+        h.l1.validate().map_err(|e| format!("L1 cache: {e}"))?;
+        h.l2.validate().map_err(|e| format!("L2 cache: {e}"))?;
+        if let LsqKind::Elsq(e) = &self.lsq {
+            e.validate().map_err(|e| format!("ELSQ: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Effective window size: ROB plus the Memory Processor window.
     pub fn window_size(&self) -> usize {
         self.rob_size + self.fmc.map(|f| f.total_window()).unwrap_or(0)
@@ -208,6 +235,27 @@ mod tests {
         assert_eq!(f.me_issue_width, 2);
         assert_eq!(f.network_one_way, 4);
         assert_eq!(f.total_window(), 2048);
+    }
+
+    #[test]
+    fn named_configs_validate_and_impossible_ones_do_not() {
+        for c in [
+            CpuConfig::ooo64(),
+            CpuConfig::ooo64_svw(8, true),
+            CpuConfig::fmc_central_ideal(),
+            CpuConfig::fmc_hash(true),
+            CpuConfig::fmc_line(false),
+            CpuConfig::fmc_hash_rsac(),
+            CpuConfig::fmc_hash_svw(10, false),
+        ] {
+            assert_eq!(c.validate(), Ok(()));
+        }
+        let mut wide = CpuConfig::ooo64();
+        wide.fetch_width = 256;
+        assert!(wide.validate().unwrap_err().contains("fetch width 256"));
+        let mut bad_l2 = CpuConfig::ooo64();
+        bad_l2.hierarchy.l2.assoc = 0;
+        assert!(bad_l2.validate().unwrap_err().starts_with("L2 cache"));
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl Processor {
             let Some(inst) = workload.next_inst() else {
                 break;
             };
-            let timing = self.process_inst(st, inst, false);
+            let timing = self.process_inst(st, inst);
             // Mispredicted branch: fetch down the wrong path until the branch
             // resolves, then squash and redirect.
             if inst.is_mispredicted_branch() {
@@ -303,26 +303,45 @@ impl Processor {
     fn run_wrong_path(&mut self, st: &mut RunState, workload: &mut dyn TraceSource, resolve: u64) {
         st.result.sim.branch_mispredicts += 1;
         let wp_start_seq = st.seq;
-        let mut fetched = 0u64;
+        let probe = st.fetch_blocked_until;
         // Bound the wrong-path burst by the machine width times the branch
         // resolution delay — the front end cannot fetch more than that.
         let max_wp = (self.config.fetch_width as u64) * 256;
-        loop {
-            if fetched >= max_wp {
-                break;
+        // Every wrong-path instruction takes the next fetch slot from
+        // `probe`, and the burst's own grants are the only writes to the
+        // fetch schedule until it ends, so the schedule alone fixes how many
+        // slots land before resolution.
+        let burst = st.fetch_ports.free_before(probe, resolve, max_wp);
+        let mut fetched = 0u64;
+        while fetched < burst {
+            let (alus, mem) = workload.wrong_path_run(0x4000_0000 + fetched * 4, burst - fetched);
+            debug_assert!(mem.is_some() || alus == burst - fetched);
+            // ALU ops only take fetch slots (and ROB entries, below).
+            st.fetch_ports.reserve_n(probe, alus);
+            fetched += alus;
+            if let Some(inst) = mem {
+                let fetch = st.fetch_ports.reserve(probe);
+                self.process_wrong_path_inst(st, inst, wp_start_seq + fetched, fetch, resolve);
+                fetched += 1;
             }
-            // Reserve the next fetch slot; stop once it reaches resolution.
-            let probe = st.fetch_blocked_until;
-            let slot_if_fetched = st.fetch_ports.reserve(probe);
-            if slot_if_fetched >= resolve {
-                // The slot belongs to the redirected correct path; it stays
-                // reserved, which models the fetch bubble on redirect.
-                break;
-            }
-            let inst = workload.wrong_path_inst(0x4000_0000 + fetched * 4);
-            self.process_wrong_path_inst(st, inst, slot_if_fetched, resolve);
-            fetched += 1;
         }
+        if burst < max_wp {
+            // The first slot at or past resolution belongs to the redirected
+            // correct path; it stays reserved, which models the fetch bubble
+            // on redirect.
+            st.fetch_ports.reserve(probe);
+        }
+        // Every wrong-path instruction took a sequence number and a ROB
+        // entry that frees at `resolve`. Nothing reads the ROB mid-burst,
+        // and only its youngest `rob_size` entries matter afterwards.
+        st.seq += fetched;
+        st.result.sim.fetched += fetched;
+        let rob_size = self.config.rob_size;
+        let pushed = fetched.min(rob_size as u64) as usize;
+        let excess = (st.rob_release.len() + pushed).saturating_sub(rob_size);
+        st.rob_release.drain(..excess);
+        st.rob_release
+            .extend(std::iter::repeat(resolve).take(pushed));
         st.result.sim.wrong_path_fetched += fetched;
         st.result.sim.squashed += fetched;
         st.lsq.squash_from(wp_start_seq);
@@ -331,44 +350,36 @@ impl Processor {
             .max(resolve + self.config.redirect_penalty as u64);
     }
 
-    /// Processes one wrong-path instruction fetched at `fetch`: it consumes
-    /// LSQ entries, issue slots and cache bandwidth, but never commits or
-    /// updates the register file, and its resources free at `resolve`.
+    /// Processes wrong-path memory instruction `seq`, fetched at `fetch`:
+    /// it consumes LSQ entries, issue slots and cache bandwidth, but never
+    /// commits or updates the register file, and its resources free at
+    /// `resolve`.
     fn process_wrong_path_inst(
         &mut self,
         st: &mut RunState,
         inst: DynInst,
+        seq: u64,
         fetch: u64,
         resolve: u64,
     ) {
-        st.result.sim.fetched += 1;
-        let seq = st.seq;
-        st.seq += 1;
         let dispatch = fetch + self.config.frontend_depth as u64;
-        st.rob_release.push_back(resolve);
-        if st.rob_release.len() > self.config.rob_size {
-            st.rob_release.pop_front();
-        }
-        if inst.is_mem() {
-            let kind = if inst.is_load() {
-                MemOpKind::Load
-            } else {
-                MemOpKind::Store
-            };
-            if st.lsq.has_room(kind) {
-                st.lsq.allocate(kind, seq);
-                if inst.is_load() {
-                    let addr = inst.mem_access();
-                    let ready = self.operand_ready(st, &inst).max(dispatch);
-                    let issue = st.issue_ports.reserve(ready);
-                    if issue < resolve {
-                        let _ = st
-                            .lsq
-                            .issue_load(seq, addr, issue, ExecSite::CacheProcessor, None);
-                        let port = st.cache_ports.reserve(issue);
-                        st.hierarchy.access(addr.addr, false);
-                        let _ = port;
-                    }
+        let kind = if inst.is_load() {
+            MemOpKind::Load
+        } else {
+            MemOpKind::Store
+        };
+        if st.lsq.has_room(kind) {
+            st.lsq.allocate(kind, seq);
+            if inst.is_load() {
+                let addr = inst.mem_access();
+                let ready = self.operand_ready(st, &inst).max(dispatch);
+                let issue = st.issue_ports.reserve(ready);
+                if issue < resolve {
+                    let _ = st
+                        .lsq
+                        .issue_load(seq, addr, issue, ExecSite::CacheProcessor, None);
+                    st.cache_ports.reserve(issue);
+                    st.hierarchy.access(addr.addr, false);
                 }
             }
         }
@@ -389,7 +400,7 @@ impl Processor {
     }
 
     /// Processes one correct-path instruction and returns its timing.
-    fn process_inst(&mut self, st: &mut RunState, inst: DynInst, _nested: bool) -> InstTiming {
+    fn process_inst(&mut self, st: &mut RunState, inst: DynInst) -> InstTiming {
         let cfg = self.config;
         let seq = st.seq;
         st.seq += 1;
@@ -426,7 +437,6 @@ impl Processor {
         }
         let fetch = st.fetch_ports.reserve(earliest);
         let dispatch = fetch + cfg.frontend_depth as u64;
-        let _ = fetch;
 
         let mut lsq_tracked = false;
         if let Some(kind) = kind {
@@ -533,9 +543,8 @@ impl Processor {
             migrated = true;
             let f = fmc.expect("migration only happens with the Memory Processor enabled");
             let mut migrate_cycle = head_arrival;
-            if let Some(kind) = kind {
+            if kind.is_some() {
                 // Restricted disambiguation may be stalling memory migration.
-                let _ = kind;
                 migrate_cycle = migrate_cycle.max(st.migration_blocked_until);
             }
             if st.mp_release.len() >= f.total_window() {

@@ -1421,10 +1421,10 @@ impl TraceSource for FileTrace {
             .unwrap_or_else(|e| panic!("corrupt trace {}: {e}", self.path.display()))
     }
 
-    fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
+    fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
         match &mut self.wrong_path {
-            Some(synth) => synth.inst(pc),
-            None => crate::trace::default_wrong_path_inst(pc),
+            Some(synth) => synth.run(pc, max),
+            None => (max, None),
         }
     }
 
@@ -1787,7 +1787,10 @@ mod tests {
         let mut reference = WrongPathSynth::from_spec(spec);
         let mut ft2 = FileTrace::open(&path).unwrap();
         for i in 0..64 {
-            assert_eq!(ft2.wrong_path_inst(i * 4), reference.inst(i * 4));
+            assert_eq!(
+                ft2.wrong_path_run(i * 4, i % 5),
+                reference.run(i * 4, i % 5)
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -43,7 +43,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::inst::DynInst;
-use crate::trace::{default_wrong_path_inst, TraceSource};
+use crate::trace::TraceSource;
 use crate::wrongpath::{WrongPathSpec, WrongPathSynth};
 
 /// An immutable captured instruction stream, shareable across threads.
@@ -215,8 +215,8 @@ impl SharedStream {
 /// Each cursor owns a private [`WrongPathSynth`] rebuilt from the captured
 /// spec (when the source had one), because wrong-path demand differs per
 /// configuration and the synthesizer is stateful. Sources without a spec
-/// fall back to [`default_wrong_path_inst`], exactly as the
-/// [`TraceSource`] default does.
+/// fall back to the ALU-only wrong path of the
+/// [`TraceSource::wrong_path_run`] default.
 ///
 /// # Panics
 ///
@@ -297,10 +297,10 @@ impl TraceSource for SharedCursor {
         skipped
     }
 
-    fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
+    fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
         match &mut self.synth {
-            Some(synth) => synth.inst(pc),
-            None => default_wrong_path_inst(pc),
+            Some(synth) => synth.run(pc, max),
+            None => (max, None),
         }
     }
 
@@ -377,7 +377,11 @@ mod tests {
         let mut src = VecTrace::new(mk(1));
         let stream = Arc::new(SharedStream::capture(&mut src, 1));
         let mut cursor = stream.cursor();
-        assert_eq!(cursor.wrong_path_inst(0x40), default_wrong_path_inst(0x40));
+        assert_eq!(
+            cursor.wrong_path_run(0x40, 9),
+            src.wrong_path_run(0x40, 9),
+            "a spec-less cursor keeps the trait's ALU-only default"
+        );
     }
 
     #[test]
@@ -387,8 +391,8 @@ mod tests {
             fn next_inst(&mut self) -> Option<DynInst> {
                 self.0.next_inst()
             }
-            fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
-                self.1.inst(pc)
+            fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
+                self.1.run(pc, max)
             }
             fn name(&self) -> &str {
                 "spec-source"
@@ -412,10 +416,10 @@ mod tests {
         let mut b = stream.cursor();
         let mut reference = WrongPathSynth::from_spec(spec);
         for i in 0..100 {
-            let pc = 0x4000_0000 + i * 4;
-            let want = reference.inst(pc);
-            assert_eq!(a.wrong_path_inst(pc), want);
-            assert_eq!(b.wrong_path_inst(pc), want);
+            let (pc, max) = (0x4000_0000 + i * 4, i % 7);
+            let want = reference.run(pc, max);
+            assert_eq!(a.wrong_path_run(pc, max), want);
+            assert_eq!(b.wrong_path_run(pc, max), want);
         }
     }
     #[test]

@@ -1,29 +1,20 @@
 //! Trace sources: the interface between workload generators and CPU models.
 //!
 //! A [`TraceSource`] produces the correct-path dynamic instruction stream one
-//! instruction at a time, and can additionally synthesize *wrong-path*
+//! instruction at a time, and additionally synthesizes *wrong-path*
 //! instructions that the front end fetches after a mispredicted branch until
 //! that branch resolves. Wrong-path instructions never commit, but they do
 //! occupy LSQ entries and access caches, which is essential to reproduce the
 //! paper's Table 2 observation that SPEC INT LSQ activity grows with window
-//! aggressiveness.
+//! aggressiveness — so the wrong-path stream must stay exact.
+//!
+//! Most wrong-path instructions are ALU operations that the timing model
+//! only counts, so sources hand them out in runs:
+//! [`TraceSource::wrong_path_run`] draws instructions up to and including
+//! the next memory instruction and builds only that one.
 
-use crate::inst::{DynInst, InstBuilder};
-use crate::op::OpClass;
-use crate::reg::ArchReg;
+use crate::inst::DynInst;
 use crate::wrongpath::WrongPathSpec;
-
-/// The wrong-path instruction sources emit when they have no richer model:
-/// a simple integer ALU op. Shared by the [`TraceSource`] default and by
-/// spec-less [`crate::etrc::FileTrace`] replays, so the two can never
-/// diverge.
-pub fn default_wrong_path_inst(pc: u64) -> DynInst {
-    InstBuilder::alu(pc, OpClass::IntAlu)
-        .dst(ArchReg::int(1))
-        .src(ArchReg::int(1))
-        .wrong_path(true)
-        .build()
-}
 
 /// A source of dynamic instructions.
 ///
@@ -36,13 +27,19 @@ pub trait TraceSource: Send {
     /// `None`; the simulator stops after a configured number of commits.
     fn next_inst(&mut self) -> Option<DynInst>;
 
-    /// Returns a wrong-path instruction to fetch at `pc`.
+    /// Draws up to `max` wrong-path instructions fetched 4 bytes apart from
+    /// `pc`, stopping after the first memory instruction. Returns how many
+    /// non-memory instructions came before it, and the memory instruction
+    /// itself (fetched at `pc + 4 * count`) if one was drawn; without one
+    /// the count is `max`.
     ///
-    /// The default implementation produces a simple integer ALU instruction
-    /// ([`default_wrong_path_inst`]); generators override this to produce a
-    /// realistic mix including wrong-path loads and stores.
-    fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
-        default_wrong_path_inst(pc)
+    /// The default models sources with no wrong-path spec: every wrong-path
+    /// instruction is an integer ALU op, which consumes no state, so the run
+    /// is `(max, None)`. Generators override this with a
+    /// [`crate::wrongpath::WrongPathSynth`] to produce a realistic mix
+    /// including wrong-path loads.
+    fn wrong_path_run(&mut self, _pc: u64, max: u64) -> (u64, Option<DynInst>) {
+        (max, None)
     }
 
     /// A short human-readable name for reports.
@@ -217,6 +214,7 @@ impl TraceSource for LoopTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::InstBuilder;
     use crate::op::OpClass;
 
     fn mk(n: usize) -> Vec<DynInst> {
@@ -256,10 +254,15 @@ mod tests {
 
     #[test]
     fn default_wrong_path_inst_is_wrong_path_alu() {
+        // Spec-less sources fetch nothing but ALU ops: every run is full
+        // length and carries no memory instruction.
         let mut t = VecTrace::new(mk(1));
-        let wp = t.wrong_path_inst(0x999);
-        assert!(wp.wrong_path);
-        assert_eq!(wp.pc, 0x999);
-        assert!(!wp.is_mem());
+        assert_eq!(t.wrong_path_run(0x999, 17), (17, None));
+        assert_eq!(t.wrong_path_run(0x999, 0), (0, None));
+        assert_eq!(
+            t.remaining(),
+            1,
+            "wrong-path fetch never consumes the trace"
+        );
     }
 }

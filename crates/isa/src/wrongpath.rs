@@ -85,14 +85,12 @@ impl WrongPathSynth {
     }
 
     /// Produces one wrong-path instruction at `pc`.
+    ///
+    /// This is the per-instruction definition of the stream:
+    /// [`WrongPathSynth::run`] draws the same instructions in bulk.
     pub fn inst(&mut self, pc: u64) -> DynInst {
         if self.rng.gen_bool(self.spec.load_rate) {
-            let offset = self.rng.gen_range(0..self.spec.region_size / 8) * 8;
-            InstBuilder::load(pc, self.spec.region_base + offset, 8)
-                .dst(ArchReg::int(9))
-                .src(ArchReg::int(8))
-                .wrong_path(true)
-                .build()
+            self.load(pc)
         } else {
             InstBuilder::alu(pc, OpClass::IntAlu)
                 .dst(ArchReg::int(9))
@@ -100,6 +98,32 @@ impl WrongPathSynth {
                 .wrong_path(true)
                 .build()
         }
+    }
+
+    /// Draws up to `max` wrong-path instructions fetched 4 bytes apart from
+    /// `pc`, stopping after the first load. Returns how many ALU operations
+    /// came before it and the load itself (at `pc + 4 * count`), or `(max,
+    /// None)` when no load was drawn.
+    ///
+    /// The RNG draws are exactly those of the same number of
+    /// [`WrongPathSynth::inst`] calls — one `gen_bool` per instruction plus
+    /// a `gen_range` per load — but only the load is built.
+    pub fn run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
+        for count in 0..max {
+            if self.rng.gen_bool(self.spec.load_rate) {
+                return (count, Some(self.load(pc + 4 * count)));
+            }
+        }
+        (max, None)
+    }
+
+    fn load(&mut self, pc: u64) -> DynInst {
+        let offset = self.rng.gen_range(0..self.spec.region_size / 8) * 8;
+        InstBuilder::load(pc, self.spec.region_base + offset, 8)
+            .dst(ArchReg::int(9))
+            .src(ArchReg::int(8))
+            .wrong_path(true)
+            .build()
     }
 }
 
@@ -179,6 +203,36 @@ mod tests {
             assert!(inst.validate().is_ok());
             let addr = inst.mem_access().addr;
             assert!(addr >= 0x2000 && addr < 0x2000 + 64);
+        }
+    }
+
+    proptest::proptest! {
+        /// Interleaved `run` calls with arbitrary bounds yield the loads a
+        /// reference loop of `inst` calls yields, at the same PCs, and leave
+        /// the RNG in the same state.
+        #[test]
+        fn runs_match_a_reference_loop_of_inst_calls(
+            seed in 0u64..1_000,
+            load_rate in 0.0f64..1.0,
+            maxes in proptest::collection::vec(0u64..64, 1..40),
+        ) {
+            let mut bulk = WrongPathSynth::new(seed, 0x8000, 4096, load_rate);
+            let mut reference = bulk.clone();
+            let mut pc = 0x4000_0000u64;
+            for max in maxes {
+                let (count, load) = bulk.run(pc, max);
+                let mut want = (max, None);
+                for i in 0..max {
+                    let inst = reference.inst(pc + 4 * i);
+                    if inst.is_mem() {
+                        want = (i, Some(inst));
+                        break;
+                    }
+                }
+                proptest::prop_assert_eq!((count, load), want);
+                proptest::prop_assert_eq!(&bulk.rng, &reference.rng);
+                pc += 4 * (count + u64::from(load.is_some()));
+            }
         }
     }
 

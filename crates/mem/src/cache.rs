@@ -171,11 +171,16 @@ struct Line {
 /// locked lines.
 ///
 /// The cache tracks only tags and metadata (no data), which is all a timing
-/// model needs.
+/// model needs. All ways live in one set-major vector — set `s` is
+/// `lines[s * assoc..(s + 1) * assoc]` — and set and tag come from shifts
+/// and masks, which [`CacheConfig::validate`]'s power-of-two checks allow.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
+    lines: Vec<Option<Line>>,
+    line_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
     tick: u64,
     stats: CacheStats,
 }
@@ -188,10 +193,13 @@ impl SetAssocCache {
     /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Self {
         config.validate().expect("invalid cache configuration");
-        let sets = vec![vec![None; config.assoc as usize]; config.num_sets() as usize];
+        let sets = config.num_sets();
         Self {
             config,
-            sets,
+            lines: vec![None; config.assoc as usize * sets as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -212,23 +220,24 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr / self.config.line_bytes;
-        let set = (line_addr % self.config.num_sets()) as usize;
-        let tag = line_addr / self.config.num_sets();
-        (set, tag)
+    /// The ways of the set `addr` maps to, and its tag.
+    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let line_addr = addr >> self.line_shift;
+        let ways = self.config.assoc as usize;
+        let start = (line_addr & self.set_mask) as usize * ways;
+        (start..start + ways, line_addr >> self.set_shift)
     }
 
     /// Looks up `addr` without modifying the cache state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().flatten().any(|line| line.tag == tag)
+        self.lines[set].iter().flatten().any(|line| line.tag == tag)
     }
 
     /// Whether the line containing `addr` is currently locked.
     pub fn is_locked(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set]
+        self.lines[set]
             .iter()
             .flatten()
             .any(|line| line.tag == tag && line.locks > 0)
@@ -244,7 +253,7 @@ impl SetAssocCache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let ways = &mut self.lines[set];
         if let Some(line) = ways.iter_mut().flatten().find(|l| l.tag == tag) {
             line.lru = tick;
             line.dirty |= is_write;
@@ -288,7 +297,7 @@ impl SetAssocCache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let ways = &mut self.lines[set];
         if let Some(line) = ways.iter_mut().flatten().find(|l| l.tag == tag) {
             line.lru = tick;
             let outcome = if line.locks > 0 {
@@ -339,7 +348,7 @@ impl SetAssocCache {
     /// order-dependent.
     pub fn unlock_line(&mut self, addr: u64) {
         let (set, tag) = self.set_and_tag(addr);
-        if let Some(line) = self.sets[set]
+        if let Some(line) = self.lines[set]
             .iter_mut()
             .flatten()
             .find(|l| l.tag == tag && l.locks > 0)
@@ -350,20 +359,12 @@ impl SetAssocCache {
 
     /// Number of currently locked lines (across all sets).
     pub fn locked_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().flatten())
-            .filter(|l| l.locks > 0)
-            .count()
+        self.lines.iter().flatten().filter(|l| l.locks > 0).count()
     }
 
     /// Invalidates the whole cache contents but keeps statistics.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = None;
-            }
-        }
+        self.lines.fill(None);
     }
 }
 
@@ -496,6 +497,181 @@ mod tests {
             c.access(i * 32, false);
         }
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    /// The nested-`Vec` layout the flat one replaced, kept as the
+    /// reference: one `Vec` of ways per set, set and tag by division.
+    struct NestedCache {
+        config: CacheConfig,
+        sets: Vec<Vec<Option<Line>>>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl NestedCache {
+        fn new(config: CacheConfig) -> Self {
+            Self {
+                config,
+                sets: vec![vec![None; config.assoc as usize]; config.num_sets() as usize],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+            let line_addr = addr / self.config.line_bytes;
+            let set = (line_addr % self.config.num_sets()) as usize;
+            (set, line_addr / self.config.num_sets())
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (set, tag) = self.set_and_tag(addr);
+            self.sets[set].iter().flatten().any(|line| line.tag == tag)
+        }
+
+        fn is_locked(&self, addr: u64) -> bool {
+            let (set, tag) = self.set_and_tag(addr);
+            self.sets[set]
+                .iter()
+                .flatten()
+                .any(|line| line.tag == tag && line.locks > 0)
+        }
+
+        /// Allocates `tag` in `set` (empty way first, else the LRU unlocked
+        /// way); `false` when every way is locked.
+        fn allocate(&mut self, set: usize, line: Line) -> bool {
+            let ways = &mut self.sets[set];
+            if let Some(slot) = ways.iter_mut().find(|w| w.is_none()) {
+                *slot = Some(line);
+                return true;
+            }
+            let victim = ways
+                .iter_mut()
+                .filter(|w| w.as_ref().is_some_and(|l| l.locks == 0))
+                .min_by_key(|w| w.as_ref().map(|l| l.lru).unwrap_or(u64::MAX));
+            match victim {
+                Some(slot) => {
+                    self.stats.evictions += 1;
+                    *slot = Some(line);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set_and_tag(addr);
+            if let Some(line) = self.sets[set].iter_mut().flatten().find(|l| l.tag == tag) {
+                line.lru = tick;
+                line.dirty |= is_write;
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            let line = Line {
+                tag,
+                lru: tick,
+                locks: 0,
+                dirty: is_write,
+            };
+            self.allocate(set, line);
+            false
+        }
+
+        fn lock_line(&mut self, addr: u64) -> LockOutcome {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set_and_tag(addr);
+            if let Some(line) = self.sets[set].iter_mut().flatten().find(|l| l.tag == tag) {
+                line.lru = tick;
+                line.locks += 1;
+                return if line.locks > 1 {
+                    LockOutcome::AlreadyLocked
+                } else {
+                    LockOutcome::Locked
+                };
+            }
+            let line = Line {
+                tag,
+                lru: tick,
+                locks: 1,
+                dirty: false,
+            };
+            if self.allocate(set, line) {
+                LockOutcome::Locked
+            } else {
+                self.stats.lock_set_full += 1;
+                LockOutcome::SetFull
+            }
+        }
+
+        fn unlock_line(&mut self, addr: u64) {
+            let (set, tag) = self.set_and_tag(addr);
+            if let Some(line) = self.sets[set]
+                .iter_mut()
+                .flatten()
+                .find(|l| l.tag == tag && l.locks > 0)
+            {
+                line.locks -= 1;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random access/lock/unlock/probe sequences give the same answers,
+        /// statistics and locked-line counts in the flat layout as in the
+        /// nested reference, at associativities 1, 2, 4 and 8.
+        #[test]
+        fn flat_sets_match_the_nested_reference(
+            assoc_log in 0u32..4,
+            ops in proptest::collection::vec((0u8..4, 0u64..4096, 0u8..2), 1..400),
+        ) {
+            let assoc = 1u32 << assoc_log;
+            let config = CacheConfig {
+                size_bytes: 8 * u64::from(assoc) * 32,
+                assoc,
+                line_bytes: 32,
+                latency: 1,
+            };
+            let mut flat = SetAssocCache::new(config);
+            let mut nested = NestedCache::new(config);
+            for (i, &(op, addr, write)) in ops.iter().enumerate() {
+                match op {
+                    0 => proptest::prop_assert_eq!(
+                        flat.access(addr, write == 1),
+                        nested.access(addr, write == 1),
+                        "access #{} diverged", i
+                    ),
+                    1 => proptest::prop_assert_eq!(
+                        flat.lock_line(addr),
+                        nested.lock_line(addr),
+                        "lock #{} diverged", i
+                    ),
+                    2 => {
+                        flat.unlock_line(addr);
+                        nested.unlock_line(addr);
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        (flat.probe(addr), flat.is_locked(addr)),
+                        (nested.probe(addr), nested.is_locked(addr)),
+                        "probe #{} diverged", i
+                    ),
+                }
+            }
+            proptest::prop_assert_eq!(*flat.stats(), nested.stats);
+            let nested_locked = nested
+                .sets
+                .iter()
+                .flat_map(|s| s.iter().flatten())
+                .filter(|l| l.locks > 0)
+                .count();
+            proptest::prop_assert_eq!(flat.locked_lines(), nested_locked);
+            for addr in (0..4096).step_by(32) {
+                proptest::prop_assert_eq!(flat.probe(addr), nested.probe(addr));
+            }
+        }
     }
 
     #[test]

@@ -433,7 +433,9 @@ impl ScenarioSpec {
     /// Expansion order is deterministic: the first axis varies slowest, the
     /// last fastest, and each grid point emits its classes in declaration
     /// order. Point labels join the bindings as `axis=value,...` (or the
-    /// base name when the spec has no axes).
+    /// base name when the spec has no axes). Every point's configuration
+    /// must pass [`CpuConfig::validate`]; the first that does not fails the
+    /// expansion, naming the point and the reason.
     pub fn expand(&self) -> Result<SweepPlan, String> {
         if self.name.is_empty() {
             return Err("scenario has no name".to_owned());
@@ -493,6 +495,11 @@ impl ScenarioSpec {
                     .collect::<Vec<_>>()
                     .join(",")
             };
+            // A configuration that cannot be simulated never succeeds on a
+            // retry, so it is a usage error at plan time.
+            config
+                .validate()
+                .map_err(|e| format!("point `{label}` cannot be simulated: {e}"))?;
             for &class in &self.classes {
                 plan.points.push(PlanPoint {
                     label: label.clone(),

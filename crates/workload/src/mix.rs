@@ -166,8 +166,8 @@ impl<B: BlockSource> TraceSource for BlockTrace<B> {
         self.buffer.pop_front()
     }
 
-    fn wrong_path_inst(&mut self, pc: u64) -> DynInst {
-        self.wrong_path.inst(pc)
+    fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
+        self.wrong_path.run(pc, max)
     }
 
     fn name(&self) -> &str {

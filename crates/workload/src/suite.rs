@@ -378,8 +378,10 @@ mod tests {
                 inst.validate()
                     .expect("generated instruction must be valid");
             }
-            let wp = w.wrong_path_inst(0x42);
-            assert!(wp.wrong_path);
+            let (alus, wp) = w.wrong_path_run(0x42, 1_000);
+            let wp = wp.expect("a quarter of wrong-path instructions are loads");
+            assert!(wp.wrong_path && wp.is_load());
+            assert_eq!(wp.pc, 0x42 + 4 * alus);
             wp.validate().unwrap();
         }
     }
@@ -463,7 +465,10 @@ mod tests {
                 assert!(r.next_inst().is_none(), "trace longer than recorded");
                 // Wrong-path streams replay identically too.
                 for i in 0..50 {
-                    assert_eq!(r.wrong_path_inst(i * 4), g.wrong_path_inst(i * 4));
+                    assert_eq!(
+                        r.wrong_path_run(i * 4, i % 9),
+                        g.wrong_path_run(i * 4, i % 9)
+                    );
                 }
             }
         }

@@ -1,19 +1,18 @@
 //! Golden-output guard for the hot-path optimization work.
 //!
-//! Runs two quick experiments at a fixed seed and asserts a stable FNV-1a
-//! hash of the serialized JSON [`Report`]. The expected hashes were recorded
-//! on pre-optimization `main` (PR 2), so any change to simulation semantics
-//! — a different forwarding pick, a shifted counter, a reordered search —
-//! changes a cell value and breaks the hash. The data-structure work in the
-//! core crates (seq-indexed slab queues, address-bucketed search indices,
-//! unknown-address sets) must keep these bit-exact.
+//! Runs every registered experiment at a fixed seed and small commit budget
+//! and asserts a stable FNV-1a hash of each serialized JSON [`Report`]. The
+//! `fig7` and `table2` hashes were recorded on pre-optimization `main`, the
+//! other eight before the timing loop's data structures were reworked, so
+//! any change to simulation semantics — a different forwarding pick, a
+//! shifted counter, a reordered search, a moved cache line — changes a cell
+//! value and breaks a hash. Data-structure work in the core, memory and
+//! pipeline crates must keep these bit-exact.
 //!
 //! `fig7` exercises the central LSQ plus every ELSQ variant (line/hash ERT,
-//! with and without the SQM) over both workload suites; `table2` pins the
-//! access *counters*, which are the most sensitive observers of the search
-//! paths (one extra or missing queue search changes a column). A third test
-//! pins the raw `committed`/`cycles` totals of seven configuration/suite
-//! pairs, one of them sampled.
+//! with and without the SQM) over both workload suites. A further test pins
+//! the raw `committed`/`cycles` totals of seven configuration/suite pairs,
+//! one of them sampled.
 //!
 //! If a future PR changes simulation semantics *intentionally*, re-record
 //! the constants with:
@@ -61,24 +60,38 @@ fn golden_hash(id: &str) -> u64 {
     hash
 }
 
-#[test]
-fn fig7_quick_report_is_bit_stable() {
-    assert_eq!(
-        golden_hash("fig7"),
-        0x89d552f95d395891,
-        "fig7 report changed: the optimizations must not alter simulation \
-         semantics (see tests/golden_reports.rs for how to re-record)"
-    );
+/// One bit-stability test per registered experiment, each pinning the hash
+/// of its report at the parameters of [`golden_hash`].
+macro_rules! golden_reports {
+    ($($test:ident: $id:literal => $hash:literal,)+) => {$(
+        #[test]
+        fn $test() {
+            assert_eq!(
+                golden_hash($id),
+                $hash,
+                "{} report changed: the optimizations must not alter \
+                 simulation semantics (see tests/golden_reports.rs for how \
+                 to re-record)",
+                $id
+            );
+        }
+    )+};
 }
 
-#[test]
-fn table2_quick_report_is_bit_stable() {
-    assert_eq!(
-        golden_hash("table2"),
-        0xd71ba16e0c2d581c,
-        "table2 access counters changed: a queue search was added, dropped \
-         or reordered (see tests/golden_reports.rs for how to re-record)"
-    );
+golden_reports! {
+    fig1_quick_report_is_bit_stable: "fig1" => 0x37ee4a6eb4034a9a,
+    tuning_quick_report_is_bit_stable: "tuning" => 0x926b26be33d770fd,
+    fig7_quick_report_is_bit_stable: "fig7" => 0x89d552f95d395891,
+    fig8a_quick_report_is_bit_stable: "fig8a" => 0x96fa8be3513d140e,
+    // fig8bc and fig11 sweep L1 and L2 geometry through the cache layout.
+    fig8bc_quick_report_is_bit_stable: "fig8bc" => 0x6c9902f7dfebacc8,
+    fig9_quick_report_is_bit_stable: "fig9" => 0x84c764a2bf973e20,
+    fig10_quick_report_is_bit_stable: "fig10" => 0xec7697527f823191,
+    fig11_quick_report_is_bit_stable: "fig11" => 0xf88131bb63b3f2c1,
+    // table2 pins the access counters, the most sensitive observers of the
+    // search paths: one extra or missing queue search changes a column.
+    table2_quick_report_is_bit_stable: "table2" => 0xd71ba16e0c2d581c,
+    energy_quick_report_is_bit_stable: "energy" => 0xf898cfd3f625d278,
 }
 
 /// Suite-summed `committed` and `cycles` of seven configuration/suite pairs
