@@ -1236,7 +1236,7 @@ pub fn execute_sweep(sweep: &SweepArgs) -> Result<SweepOutcome, CliError> {
         sweep.cache.as_deref(),
         sweep.resume,
     )?;
-    let results = run_plan(&ctx, &plan, &spec.params, |_, _| {});
+    let results = run_plan(&ctx, &plan, &spec.params, |_| {});
     let report = sweep_report(&spec, &plan, &results);
     let failed = results
         .failed()

@@ -265,6 +265,37 @@ fn dropped_connection_mid_stream_recovers_via_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A job's journal writes come in a fixed order: Queued, Running, one per
+/// class group, then the terminal record. The two points of the one-group
+/// chaos grid share one write, so a fault at the 4th `job.record.write`
+/// lands on the Done record: both points were journaled and streamed, and
+/// the job fails naming its completion (a per-point journal would fail on
+/// the second point's write instead).
+#[test]
+fn a_class_group_costs_one_journal_write() {
+    let dir = tmp_dir("journal-writes");
+    let store = dir.join("store");
+    let plan = plan_file(&dir, &one_fault("job.record.write", 4, FaultAction::Enospc));
+    let (mut server, addr, _out) = spawn_server(&store, &["--fault-plan", plan.to_str().unwrap()]);
+
+    let mut seqs = Vec::new();
+    let err = client::submit(&addr, Some("writes-1"), &chaos_spec(), |event| {
+        if let Event::Point { seq, .. } = event {
+            seqs.push(*seq);
+        }
+    })
+    .unwrap_err();
+    assert!(err.contains("cannot journal job completion"), "{err}");
+    assert_eq!(seqs, vec![1, 2], "both points streamed before Done");
+    let jobs = client::jobs(&addr).unwrap();
+    let job = jobs.iter().find(|j| j.id == "writes-1").expect("listed");
+    assert_eq!(job.state, elsq_serve::JobState::Failed);
+
+    client::shutdown(&addr).unwrap();
+    assert!(server.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A job whose worker stalls past the `--watchdog` window is marked
 /// Failed, naming the watchdog — and the daemon stays healthy for the
 /// next job.
@@ -319,7 +350,7 @@ fn sigterm_drains_journals_and_a_resume_boot_finishes_the_job() {
     // Stalling the send of the second fp progress event (event sends: 1 =
     // Accepted, 2 = first Point, 3 = second Point) holds the worker inside
     // the fp group for 3s after the first Point reached the client — ample
-    // time for the kill below plus the accept loop's ~15ms signal poll.
+    // time for the kill below plus the signal thread's ~15ms poll.
     let plan = plan_file(
         &dir,
         &one_fault("serve.event", 3, FaultAction::Stall { ms: 3_000 }),

@@ -4,9 +4,11 @@
 //! Architecture (one paragraph): [`Server::start`] opens the store (taking
 //! its advisory writer lock), replays the job journal — `Queued`/`Running`
 //! records from a previous process are reset and re-enqueued in submission
-//! order — binds the listener, and spawns two threads. The **accept
-//! thread** hands each connection to a short-lived handler thread that
-//! parses the single request line and answers it. The **runner thread**
+//! order — binds the listener, and spawns three threads. The **accept
+//! thread** blocks in `accept` and hands each connection to a short-lived
+//! handler thread that parses the single request line and answers it. The
+//! **signal thread** polls the SIGTERM flag ([`crate::signal`]) every
+//! 15 ms, off the request path. The **runner thread**
 //! executes jobs strictly one at a time under the daemon's one
 //! [`RunCtx`] (built at start, with the store as its cache and the
 //! worker budget fixed before any job runs), which is what makes the shared
@@ -15,15 +17,18 @@
 //! second job's overlapping points are answered from the store the first
 //! job populated. (Within one job, the plan's points still fan out across
 //! the persistent worker pool — serialization is per job, not per point.)
-//! Progress events fan out to per-job subscriber channels; a connection is
-//! a subscriber from `Accepted` until the terminal event.
+//! Each class group of a plan is journaled with one record write and only
+//! then streamed: progress events fan out to per-job subscriber channels,
+//! and a connection is a subscriber from `Accepted` until the terminal
+//! event.
 //!
 //! Shutdown is graceful: a *drain* shutdown lets the running job finish, a
 //! plain one cancels it at its next class-group boundary (finished points
 //! are in the store, so a resubmission resumes from them); queued jobs stay
 //! journaled either way (the next boot re-enqueues them), and waiting
 //! connections get [`Event::Stopping`]. SIGTERM (when the CLI installed the
-//! trap) behaves like a plain shutdown.
+//! trap) behaves like a plain shutdown. A shutdown request wakes the
+//! blocked `accept` by connecting once to the listener itself.
 //!
 //! **Robustness**: the plan runs on a dedicated worker thread whose points
 //! are panic-isolated — a point that panics (or whose cache write-back
@@ -36,7 +41,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -72,12 +77,14 @@ pub struct ServeConfig {
 /// The daemon entry point; see [`Server::start`].
 pub struct Server;
 
-/// A running daemon: the bound address plus the accept and runner threads.
+/// A running daemon: the bound address plus the accept, runner and signal
+/// threads.
 pub struct ServerHandle {
     local_addr: SocketAddr,
     inner: Arc<Inner>,
     accept: std::thread::JoinHandle<()>,
     runner: std::thread::JoinHandle<()>,
+    signal: std::thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -100,12 +107,13 @@ impl ServerHandle {
         self.inner.request_shutdown(false);
     }
 
-    /// Waits for the accept and runner threads to exit (after a shutdown
-    /// request). The store lock is released when the last thread drops its
-    /// handle on the store.
+    /// Waits for the accept, runner and signal threads to exit (after a
+    /// shutdown request). The store lock is released when the last thread
+    /// drops its handle on the store.
     pub fn join(self) {
         let _ = self.accept.join();
         let _ = self.runner.join();
+        let _ = self.signal.join();
     }
 }
 
@@ -121,6 +129,9 @@ struct Inner {
     /// `cancel` as its cancel flag.
     ctx: RunCtx,
     store_dir: PathBuf,
+    /// Where a shutdown connects to wake the blocked `accept`: the bound
+    /// address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     state: Mutex<ServeState>,
     work: Condvar,
     shutdown: AtomicBool,
@@ -149,13 +160,21 @@ impl Inner {
     /// additionally asks the running plan to stop at its next class-group
     /// boundary. The notify happens under the state mutex so a runner
     /// between its flag check and its condvar wait cannot miss the wakeup.
+    /// The first request also connects once to the listener: the accept
+    /// thread wakes, sees the flag (set before the connect) and exits.
     fn request_shutdown(&self, drain: bool) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.shutdown.swap(true, Ordering::SeqCst);
         if !drain {
             self.cancel.store(true, Ordering::SeqCst);
         }
-        let _state = self.lock_state();
-        self.work.notify_all();
+        {
+            let _state = self.lock_state();
+            self.work.notify_all();
+        }
+        if first {
+            // A failed connect means the listener is already gone.
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     /// Mutates the job's record under the lock and journals the result.
@@ -234,12 +253,16 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot listen on {}: {e}", config.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot configure listener: {e}"))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
+        let mut wake_addr = local_addr;
+        if local_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match local_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let cancel = Arc::new(AtomicBool::new(false));
         let ctx = RunCtx {
             cache: Some(Arc::clone(&store)),
@@ -250,6 +273,7 @@ impl Server {
             store,
             ctx,
             store_dir: config.store_dir,
+            wake_addr,
             state: Mutex::new(ServeState {
                 records: table,
                 queue,
@@ -276,11 +300,19 @@ impl Server {
                 .spawn(move || accept_loop(inner, listener))
                 .map_err(|e| format!("cannot spawn accept thread: {e}"))?
         };
+        let signal = {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("elsq-serve-signal".into())
+                .spawn(move || signal_loop(&inner))
+                .map_err(|e| format!("cannot spawn signal thread: {e}"))?
+        };
         Ok(ServerHandle {
             local_addr,
             inner,
             accept,
             runner,
+            signal,
         })
     }
 }
@@ -329,8 +361,8 @@ enum WorkerEnd {
     Panicked(String),
 }
 
-/// What the worker sends the runner: a heartbeat per finished point (the
-/// watchdog food) or the terminal outcome.
+/// What the worker sends the runner: a heartbeat per emitted point event
+/// (the watchdog food) or the terminal outcome.
 enum WorkerMsg {
     Progress,
     End(WorkerEnd),
@@ -481,8 +513,9 @@ fn run_job(inner: &Arc<Inner>, id: &str) {
     }
 }
 
-/// The body of one job's worker thread: runs the plan with per-point
-/// journaling + event emission, under panic isolation.
+/// The body of one job's worker thread: runs the plan under panic
+/// isolation, journaling each class group once and then emitting its
+/// per-point events.
 #[allow(clippy::too_many_arguments)]
 fn job_worker(
     inner: &Arc<Inner>,
@@ -499,35 +532,37 @@ fn job_worker(
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut done = 0u64;
         let mut failed_so_far = 0u64;
-        run_plan(&inner.ctx, plan, &spec.params, |point, outcome| {
+        run_plan(&inner.ctx, plan, &spec.params, |group| {
             if abandoned.load(Ordering::SeqCst) {
                 // The watchdog already declared this job dead; a stale
                 // journal write here would corrupt the successor run.
                 panic!("job `{id}` was abandoned by the watchdog");
             }
-            done += 1;
-            let seq = done;
-            if outcome.is_failed() {
-                failed_so_far += 1;
+            let mut entries = Vec::with_capacity(group.len());
+            for (point, outcome) in group {
+                done += 1;
+                if outcome.is_failed() {
+                    failed_so_far += 1;
+                }
+                let index = plan
+                    .points
+                    .iter()
+                    .position(|p| p.label == point.label && p.class == point.class)
+                    .expect("observed point is in the plan");
+                let (site, error) = match outcome {
+                    PointOutcome::Ok(_) => (None, None),
+                    PointOutcome::Failed { site, msg } => (Some(site.clone()), Some(msg.clone())),
+                };
+                entries.push(PointEvent {
+                    seq: done,
+                    done,
+                    label: point.label.clone(),
+                    class: point.class,
+                    cached: cached[index],
+                    site,
+                    error,
+                });
             }
-            let index = plan
-                .points
-                .iter()
-                .position(|p| p.label == point.label && p.class == point.class)
-                .expect("observed point is in the plan");
-            let (site, error) = match outcome {
-                PointOutcome::Ok(_) => (None, None),
-                PointOutcome::Failed { site, msg } => (Some(site.clone()), Some(msg.clone())),
-            };
-            let entry = PointEvent {
-                seq,
-                done,
-                label: point.label.clone(),
-                class: point.class,
-                cached: cached[index],
-                site,
-                error,
-            };
             let hits = inner.store.hits() - hits_base;
             let misses = inner.store.misses() - misses_base;
             // Journal before emit: a Resume replay from the record is
@@ -538,11 +573,13 @@ fn job_worker(
                     r.hits = hits;
                     r.misses = misses;
                     r.failed = failed_so_far;
-                    r.events.push(entry.clone());
+                    r.events.extend_from_slice(&entries);
                 })
                 .unwrap_or_else(|e| panic!("job journal write failed: {e}"));
-            inner.emit(id, &entry.to_event(id, total));
-            let _ = heartbeat.send(WorkerMsg::Progress);
+            for entry in &entries {
+                inner.emit(id, &entry.to_event(id, total));
+                let _ = heartbeat.send(WorkerMsg::Progress);
+            }
         })
     }));
     match outcome {
@@ -575,16 +612,13 @@ fn fail_job(inner: &Arc<Inner>, id: &str, error: String) {
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     loop {
-        // SIGTERM (when the CLI installed the trap) is a fast shutdown:
-        // cancel the running job at its next group boundary and exit; the
-        // journal and store make the next boot resume cleanly.
-        if crate::signal::sigterm_pending() {
-            inner.request_shutdown(false);
-        }
+        let accepted = listener.accept();
+        // A shutdown sets the flag and then connects to wake this accept;
+        // whatever arrives once the flag is set is dropped unanswered.
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let inner = Arc::clone(&inner);
                 // One short-lived thread per connection: a connection is
@@ -593,9 +627,24 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
                     .name("elsq-serve-conn".into())
                     .spawn(move || handle_connection(inner, stream));
             }
-            // Nonblocking accept: poll the shutdown flag between attempts.
+            // A failed accept (e.g. out of file descriptors) backs off
+            // instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(15)),
         }
+    }
+}
+
+/// SIGTERM (when the CLI installed the trap) is a fast shutdown: cancel the
+/// running job at its next group boundary and exit; the journal and store
+/// make the next boot resume cleanly. The flag is polled here, every
+/// 15 ms, so no request ever waits on the poll.
+fn signal_loop(inner: &Inner) {
+    while !inner.shutdown.load(Ordering::SeqCst) {
+        if crate::signal::sigterm_pending() {
+            inner.request_shutdown(false);
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(15));
     }
 }
 
@@ -625,9 +674,6 @@ fn send(writer: &mut TcpStream, event: &Event) -> std::io::Result<()> {
 }
 
 fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -1,6 +1,7 @@
 //! A minimal SIGTERM trap, kept deliberately tiny: one async-signal-safe
-//! handler that sets an [`AtomicBool`], polled by the daemon's accept
-//! loop. Installing it is opt-in ([`install_sigterm`]) so embedded servers
+//! handler that sets an [`AtomicBool`], polled every 15 ms by the daemon's
+//! signal watcher thread (not its accept loop, which blocks in `accept`).
+//! Installing it is opt-in ([`install_sigterm`]) so embedded servers
 //! (tests, library users) never have their process-wide signal disposition
 //! changed behind their back.
 //!

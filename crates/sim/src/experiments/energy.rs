@@ -78,7 +78,7 @@ pub fn run(ctx: &RunCtx, class: WorkloadClass, params: &ExperimentParams) -> Tab
             "cache (uJ)",
         ],
     );
-    let plan_results = run_plan(ctx, &class_plan(class), params, |_, _| {});
+    let plan_results = run_plan(ctx, &class_plan(class), params, |_| {});
     for (name, _) in configurations() {
         let results = plan_results.suite(name, class);
         let mean = SimResult::mean_lsq_per_100m(results);

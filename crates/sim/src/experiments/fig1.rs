@@ -85,7 +85,7 @@ pub fn plan() -> SweepPlan {
 
 /// Runs the Figure 1 measurement on the large-window (FMC) processor.
 pub fn measure(ctx: &RunCtx, params: &ExperimentParams) -> Vec<LocalityDistribution> {
-    let results = run_plan(ctx, &plan(), params, |_, _| {});
+    let results = run_plan(ctx, &plan(), params, |_| {});
     [WorkloadClass::Fp, WorkloadClass::Int]
         .into_iter()
         .map(|class| {

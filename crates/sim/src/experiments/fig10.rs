@@ -110,7 +110,7 @@ pub fn plan() -> SweepPlan {
 
 /// Measures every point of Figure 10.
 pub fn measure(ctx: &RunCtx, params: &ExperimentParams) -> Vec<SvwPoint> {
-    let results = run_plan(ctx, &plan(), params, |_, _| {});
+    let results = run_plan(ctx, &plan(), params, |_| {});
     let mut points = Vec::new();
     for large_window in [false, true] {
         for class in [WorkloadClass::Int, WorkloadClass::Fp] {

@@ -70,7 +70,7 @@ pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
         "Figure 11: LL-LSQ inactivity cycles (%) vs L2 size",
         &["L2 size", "SPEC INT", "SPEC FP"],
     );
-    let results = run_plan(ctx, &plan(), params, |_, _| {});
+    let results = run_plan(ctx, &plan(), params, |_| {});
     for mb in L2_MB {
         let label = format!("{mb}MB");
         table.row_cells(vec![

@@ -76,7 +76,7 @@ pub fn speedups(
     class: WorkloadClass,
     params: &ExperimentParams,
 ) -> Vec<(String, f64)> {
-    let results = run_plan(ctx, &class_plan(class), params, |_, _| {});
+    let results = run_plan(ctx, &class_plan(class), params, |_| {});
     let base = results.mean_ipc(BASELINE, class);
     schemes()
         .into_iter()

@@ -110,7 +110,7 @@ pub fn run_accuracy(ctx: &RunCtx, params: &ExperimentParams) -> Table {
         "Figure 8a: ERT false positives per 100M instructions",
         &["filter", "budget (bytes)", "SPEC FP", "SPEC INT"],
     );
-    let results = run_plan(ctx, &accuracy_plan(), params, |_, _| {});
+    let results = run_plan(ctx, &accuracy_plan(), params, |_| {});
     let fp_of = |label: &str, class| {
         let mean = elsq_cpu::result::SimResult::mean_lsq_per_100m(results.suite(label, class));
         mean.ert_false_positives
@@ -172,7 +172,7 @@ pub fn run_cache_sensitivity(
         WorkloadClass::Fp => "Figure 8b: SPEC FP relative performance vs L1 geometry",
         WorkloadClass::Int => "Figure 8c: SPEC INT relative performance vs L1 geometry",
     };
-    let results = run_plan(ctx, &sensitivity_plan(class), params, |_, _| {});
+    let results = run_plan(ctx, &sensitivity_plan(class), params, |_| {});
     let rows: Vec<(String, f64, f64)> = l1_sweep()
         .into_iter()
         .map(|(size_kb, assoc)| {

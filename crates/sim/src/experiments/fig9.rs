@@ -60,7 +60,7 @@ pub fn model_ipcs(
     class: WorkloadClass,
     params: &ExperimentParams,
 ) -> Vec<(DisambiguationModel, f64)> {
-    let results = run_plan(ctx, &class_plan(class), params, |_, _| {});
+    let results = run_plan(ctx, &class_plan(class), params, |_| {});
     DisambiguationModel::ALL
         .iter()
         .map(|&model| (model, results.mean_ipc(&model.to_string(), class)))

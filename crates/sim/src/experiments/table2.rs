@@ -78,7 +78,7 @@ pub fn run(ctx: &RunCtx, class: WorkloadClass, params: &ExperimentParams) -> Tab
             "Speed-Up",
         ],
     );
-    let plan_results = run_plan(ctx, &class_plan(class), params, |_, _| {});
+    let plan_results = run_plan(ctx, &class_plan(class), params, |_| {});
     let baseline = plan_results.mean_ipc("OoO-64", class);
     for (name, _) in configurations() {
         let results = plan_results.suite(name, class);

@@ -74,7 +74,7 @@ pub fn run(ctx: &RunCtx, params: &ExperimentParams) -> Table {
         "Section 5.2: per-epoch LSQ sizing (SPEC FP, relative to 128/64)",
         &["loads/stores per epoch", "relative IPC"],
     );
-    let results = run_plan(ctx, &plan(), params, |_, _| {});
+    let results = run_plan(ctx, &plan(), params, |_| {});
     let reference = results.mean_ipc("128/64", WorkloadClass::Fp);
     for (loads, stores) in SIZES {
         let label = format!("{loads}/{stores}");

@@ -682,12 +682,12 @@ impl PlanResults {
 /// [`run_points`]. Each point's [`PointKey`] is still consulted and
 /// written back individually, so hit/miss accounting is per point.
 ///
-/// `observe` is called once per point with its finished outcome, as soon
-/// as it exists. Because a class group completes at once, the call order
-/// is group completion order — classes in order of first appearance, and
-/// within a group the members in plan order. The `elsq-lab serve` job
-/// runner streams its per-point progress events and journal updates from
-/// this hook.
+/// `observe` is called once per class group, as soon as the group
+/// completes, with the group's `(point, outcome)` pairs in plan order. A
+/// class group completes at once, so this is the earliest any of its
+/// outcomes exists; groups arrive in order of their class's first
+/// appearance. The `elsq-lab serve` job runner journals each group once
+/// and then streams its per-point progress events from this hook.
 ///
 /// When the context carries a cancel flag, it is polled at every
 /// class-group boundary (before any of the group's points run); a raised
@@ -703,7 +703,7 @@ pub fn run_plan(
     ctx: &RunCtx,
     plan: &SweepPlan,
     params: &ExperimentParams,
-    mut observe: impl FnMut(&PlanPoint, &PointOutcome),
+    mut observe: impl FnMut(&[(&PlanPoint, &PointOutcome)]),
 ) -> PlanResults {
     plan.assert_unique_labels();
     let mut outcomes: Vec<Option<PointOutcome>> = vec![None; plan.points.len()];
@@ -731,8 +731,16 @@ pub fn run_plan(
             .iter()
             .map(|&i| (plan.points[i].label.as_str(), plan.points[i].config))
             .collect();
-        for (&i, outcome) in members.iter().zip(run_points(ctx, &labeled, class, params)) {
-            observe(&plan.points[i], &outcome);
+        let finished: Vec<(usize, PointOutcome)> = members
+            .into_iter()
+            .zip(run_points(ctx, &labeled, class, params))
+            .collect();
+        let group: Vec<(&PlanPoint, &PointOutcome)> = finished
+            .iter()
+            .map(|(i, o)| (&plan.points[*i], o))
+            .collect();
+        observe(&group);
+        for (i, outcome) in finished {
             outcomes[i] = Some(outcome);
         }
     }
@@ -1084,11 +1092,45 @@ mod tests {
         let mut plan = SweepPlan::new("mini");
         plan.push("base", CpuConfig::ooo64(), WorkloadClass::Fp);
         plan.push("fmc", CpuConfig::fmc_hash(true), WorkloadClass::Fp);
-        let results = run_plan(&RunCtx::new(2), &plan, &params, |_, _| {});
+        let results = run_plan(&RunCtx::new(2), &plan, &params, |_| {});
         assert_eq!(results.suite("base", WorkloadClass::Fp).len(), 6);
         assert!(results.mean_ipc("fmc", WorkloadClass::Fp) > 0.0);
         assert_eq!(results.iter().count(), 2);
         assert_eq!(results.cancelled(), None);
+    }
+
+    #[test]
+    fn the_observer_sees_each_class_group_once_in_plan_order() {
+        let params = ExperimentParams {
+            commits: 300,
+            seed: 3,
+            sample: None,
+        };
+        let mut plan = SweepPlan::new("groups");
+        plan.push("a", CpuConfig::ooo64(), WorkloadClass::Fp);
+        plan.push("a", CpuConfig::ooo64(), WorkloadClass::Int);
+        plan.push("b", CpuConfig::ooo64(), WorkloadClass::Fp);
+        let mut groups = Vec::new();
+        run_plan(&RunCtx::new(2), &plan, &params, |group| {
+            groups.push(
+                group
+                    .iter()
+                    .map(|(p, o)| {
+                        assert!(!o.is_failed());
+                        format!("{}/{}", p.label, p.class)
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        });
+        let fp = WorkloadClass::Fp;
+        let int = WorkloadClass::Int;
+        assert_eq!(
+            groups,
+            [
+                vec![format!("a/{fp}"), format!("b/{fp}")],
+                vec![format!("a/{int}")]
+            ]
+        );
     }
 
     #[test]
@@ -1110,15 +1152,13 @@ mod tests {
             ..RunCtx::new(2)
         };
         // Raised while the FP group runs: the group finishes, INT never starts.
-        let results = run_plan(&ctx, &plan, &params, |_, _| {
-            flag.store(true, Ordering::SeqCst)
-        });
+        let results = run_plan(&ctx, &plan, &params, |_| flag.store(true, Ordering::SeqCst));
         let why = results.cancelled().expect("the plan was cancelled");
         assert!(why.contains(&WorkloadClass::Int.to_string()), "{why}");
         let ran: Vec<&str> = results.iter().map(|(p, _)| p.label.as_str()).collect();
         assert_eq!(ran, ["a", "b"]);
         // Raised before the plan starts: nothing runs.
-        assert!(run_plan(&ctx, &plan, &params, |_, _| {})
+        assert!(run_plan(&ctx, &plan, &params, |_| {})
             .iter()
             .next()
             .is_none());

@@ -544,7 +544,7 @@ impl Suite {
                     spec.params = params;
                 }
                 let plan = spec.expand()?;
-                let results = run_plan(ctx, &plan, &spec.params, |_, _| {});
+                let results = run_plan(ctx, &plan, &spec.params, |_| {});
                 Ok(sweep_report(&spec, &plan, &results))
             }
         }

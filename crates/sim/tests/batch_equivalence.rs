@@ -124,7 +124,7 @@ proptest! {
             plan.push(format!("p{i}"), config, WorkloadClass::Fp);
             plan.push(format!("p{i}"), config, WorkloadClass::Int);
         }
-        let results = run_plan(&RunCtx::new(WORKERS[workers]), &plan, &params, |_, _| {});
+        let results = run_plan(&RunCtx::new(WORKERS[workers]), &plan, &params, |_| {});
         for point in &plan.points {
             prop_assert_eq!(
                 bytes(&[results.suite(&point.label, point.class).to_vec()]),

@@ -75,7 +75,7 @@ fn ctx(store: Option<&Arc<ResultStore>>) -> RunCtx {
 /// Per-point mean IPCs of a healthy run — the value-bearing digest the
 /// recovery assertions compare.
 fn run_ipcs(ctx: &RunCtx, plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
-    run_plan(ctx, plan, params, |_, _| {})
+    run_plan(ctx, plan, params, |_| {})
         .iter()
         .map(|(_, suite)| SimResult::mean_ipc(suite))
         .collect()
@@ -103,7 +103,7 @@ fn panicked_point_degrades_the_sweep_and_a_rerun_recovers() {
             },
         ))
         .unwrap();
-        run_plan(&ctx(Some(&store)), &plan, &params, |_, _| {})
+        run_plan(&ctx(Some(&store)), &plan, &params, |_| {})
     };
 
     assert!(results.is_degraded());
@@ -183,7 +183,7 @@ fn torn_point_write_degrades_and_reopen_refuses_the_fragment() {
     let results = {
         let _faults =
             install_fault_plan(plan_of("store.point.write", 1, FaultAction::Torn)).unwrap();
-        run_plan(&ctx(Some(&store)), &plan, &params, |_, _| {})
+        run_plan(&ctx(Some(&store)), &plan, &params, |_| {})
     };
     let failed = results.failed();
     assert_eq!(failed.len(), 1);

@@ -123,7 +123,7 @@ fn sampled_scenario() -> ScenarioSpec {
 fn sampled_sweep_json(workers: usize) -> String {
     let spec = sampled_scenario();
     let plan = spec.expand().expect("scenario expands");
-    let results = run_plan(&RunCtx::new(workers), &plan, &spec.params, |_, _| {});
+    let results = run_plan(&RunCtx::new(workers), &plan, &spec.params, |_| {});
     assert!(results.failed().is_empty(), "sweep points must not fail");
     serde_json::to_string_pretty(&sweep_report(&spec, &plan, &results)).expect("reports serialize")
 }
@@ -164,7 +164,7 @@ fn sampled_and_full_runs_never_share_cache_entries() {
     let spec = sampled_scenario();
     let plan = spec.expand().expect("scenario expands");
     // Fresh sampled run: every point is a miss.
-    run_plan(&ctx, &plan, &spec.params, |_, _| {});
+    run_plan(&ctx, &plan, &spec.params, |_| {});
     assert_eq!((store.hits(), store.misses()), (0, 2));
     // The *full* run of the identical grid must not alias a single sampled
     // entry — it misses and simulates from scratch.
@@ -172,10 +172,10 @@ fn sampled_and_full_runs_never_share_cache_entries() {
         sample: None,
         ..spec.params
     };
-    run_plan(&ctx, &plan, &full_params, |_, _| {});
+    run_plan(&ctx, &plan, &full_params, |_| {});
     assert_eq!((store.hits(), store.misses()), (0, 4));
     // Re-running the sampled sweep answers entirely from disk.
-    run_plan(&ctx, &plan, &spec.params, |_, _| {});
+    run_plan(&ctx, &plan, &spec.params, |_| {});
     assert_eq!((store.hits(), store.misses()), (2, 4));
     assert_eq!(store.len(), 4);
     std::fs::remove_dir_all(&dir).ok();

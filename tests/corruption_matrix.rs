@@ -55,7 +55,7 @@ fn populate(dir: &Path) -> PointKey {
         cache: Some(Arc::clone(&store)),
         ..RunCtx::new(2)
     };
-    run_plan(&ctx, &plan, &spec.params, |_, _| {});
+    run_plan(&ctx, &plan, &spec.params, |_| {});
     assert_eq!(store.len(), 1);
     let p = &plan.points[0];
     PointKey::current(p.config, p.class, &spec.params)

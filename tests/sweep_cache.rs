@@ -59,7 +59,7 @@ fn ctx(store: Option<&Arc<ResultStore>>) -> RunCtx {
 /// Runs the plan and returns per-point mean IPCs (a compact, fully
 /// value-bearing digest of the results).
 fn run_ipcs(ctx: &RunCtx, plan: &SweepPlan, params: &ExperimentParams) -> Vec<f64> {
-    run_plan(ctx, plan, params, |_, _| {})
+    run_plan(ctx, plan, params, |_| {})
         .iter()
         .map(|(_, suite)| SimResult::mean_ipc(suite))
         .collect()
@@ -112,7 +112,7 @@ fn interrupted_sweep_resumes_computing_only_the_missing_points() {
     partial.axes = plan.axes.clone();
     partial.points = plan.points[..k].to_vec();
     let store = Arc::new(ResultStore::open(&dir, false).unwrap());
-    run_plan(&ctx(Some(&store)), &partial, &params, |_, _| {});
+    run_plan(&ctx(Some(&store)), &partial, &params, |_| {});
     assert_eq!(
         store.len(),
         k,

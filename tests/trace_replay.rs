@@ -147,7 +147,7 @@ fn concurrent_contexts_keep_their_own_source_and_store() {
     }
     let other_seed = ExperimentParams { seed: 10, ..params };
     let suites = |ctx: &RunCtx, params: &ExperimentParams| -> Vec<Vec<SimResult>> {
-        let results = run_plan(ctx, &plan, params, |_, _| {});
+        let results = run_plan(ctx, &plan, params, |_| {});
         results.iter().map(|(_, suite)| suite.to_vec()).collect()
     };
     let serial_replay = suites(&replay_ctx(&roster, 1), &params);
