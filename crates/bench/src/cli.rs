@@ -1867,7 +1867,9 @@ pub fn run_cli(args: &[String]) -> Result<CliRun, CliError> {
                 exit_code: outcome.exit_code(),
             })
         }
-        Command::Trace(TraceCmd::Dump(dump)) => crate::trace::execute_dump(&dump).map(CliRun::ok),
+        Command::Trace(TraceCmd::Dump(dump)) => {
+            crate::trace::execute_dump(&dump, elsq_sim::pool::max_threads()).map(CliRun::ok)
+        }
         Command::Trace(TraceCmd::Info(files)) => crate::trace::execute_info(&files).map(CliRun::ok),
         Command::Trace(TraceCmd::Verify(files)) => {
             crate::trace::execute_verify(&files).map(CliRun::ok)

@@ -1,7 +1,7 @@
 //! The `elsq-lab trace` subcommand family: dump, info and verify.
 //!
 //! * `trace dump` records suite workloads (or named members) to `.etrc`
-//!   files via [`elsq_isa::etrc::record`],
+//!   files via [`elsq_isa::etrc::record`], members in parallel,
 //! * `trace info` prints one file's header provenance and block statistics,
 //! * `trace verify` fully decodes files — every CRC, record and the trailer
 //!   count — in parallel and exits non-zero listing every corrupt one,
@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use elsq_isa::etrc;
 use elsq_isa::TraceSource;
-use elsq_sim::pool::max_threads;
+use elsq_sim::pool::{max_threads, parallel_map_with};
 use elsq_stats::report::ExperimentParams;
 use elsq_workload::suite::{suite, verify_traces, TraceRoster, WorkloadClass};
 
@@ -105,8 +105,14 @@ fn selected_classes(workloads: &[String]) -> Result<Option<Vec<WorkloadClass>>, 
     Ok(None)
 }
 
-/// Executes a dump and returns the per-file summary for stdout.
-pub fn execute_dump(dump: &TraceDumpArgs) -> Result<String, CliError> {
+/// Executes a dump on up to `workers` threads and returns the per-file
+/// summary for stdout.
+///
+/// Members are recorded in parallel, one file each; every file is a
+/// function of its member alone, so the files and the summary (in
+/// selection order) are the same at any worker count. On failure the
+/// first failing member in selection order is reported.
+pub fn execute_dump(dump: &TraceDumpArgs, workers: usize) -> Result<String, CliError> {
     let params = dump_params(dump);
     // Resolve the selection to (class, slot, workload) triples before
     // touching the filesystem (usage errors must not create directories).
@@ -122,7 +128,12 @@ pub fn execute_dump(dump: &TraceDumpArgs) -> Result<String, CliError> {
             }
         }
         None => {
-            for name in &dump.workloads {
+            for (i, name) in dump.workloads.iter().enumerate() {
+                if dump.workloads[..i].contains(name) {
+                    return Err(CliError::usage(format!(
+                        "workload `{name}` is named twice; each member is dumped once"
+                    )));
+                }
                 let mut found = None;
                 'search: for class in [WorkloadClass::Fp, WorkloadClass::Int] {
                     for (slot, workload) in suite(class, params.seed).into_iter().enumerate() {
@@ -149,8 +160,7 @@ pub fn execute_dump(dump: &TraceDumpArgs) -> Result<String, CliError> {
     }
     std::fs::create_dir_all(&dump.out)
         .map_err(|e| CliError::runtime(format!("cannot create {}: {e}", dump.out.display())))?;
-    let mut summary = String::new();
-    for (class, slot, mut workload) in jobs {
+    let record = |(class, slot, mut workload): (WorkloadClass, usize, Box<dyn TraceSource>)| {
         let path = dump
             .out
             .join(member_file_name(class, slot, workload.name()));
@@ -171,15 +181,16 @@ pub fn execute_dump(dump: &TraceDumpArgs) -> Result<String, CliError> {
             .checkpoint_every
             .map(|every| format!(", checkpoints every {every}"))
             .unwrap_or_default();
-        let _ = writeln!(
-            summary,
-            "wrote {}: {written} insts, {bytes} bytes ({:.2} B/inst), seed {}{checkpoints}",
+        Ok(format!(
+            "wrote {}: {written} insts, {bytes} bytes ({:.2} B/inst), seed {}{checkpoints}\n",
             path.display(),
             bytes as f64 / written.max(1) as f64,
             params.seed,
-        );
-    }
-    Ok(summary)
+        ))
+    };
+    parallel_map_with(jobs, record, workers)
+        .into_iter()
+        .collect()
 }
 
 /// Executes `trace info`: full per-file provenance and block statistics.
@@ -345,7 +356,7 @@ mod tests {
             out: dir.clone(),
             checkpoint_every: None,
         };
-        let summary = execute_dump(&dump).unwrap();
+        let summary = execute_dump(&dump, 2).unwrap();
         assert_eq!(summary.lines().count(), 12, "both suites dumped");
         let files: Vec<PathBuf> = std::fs::read_dir(&dir)
             .unwrap()
@@ -380,14 +391,14 @@ mod tests {
             workloads: vec![name.clone()],
             ..dump
         };
-        let summary = execute_dump(&dump).unwrap();
+        let summary = execute_dump(&dump, 2).unwrap();
         assert_eq!(summary.lines().count(), 1);
         assert!(summary.contains(&name));
         let bogus = TraceDumpArgs {
             workloads: vec!["no-such-workload".to_owned()],
             ..dump
         };
-        let err = execute_dump(&bogus).unwrap_err();
+        let err = execute_dump(&bogus, 2).unwrap_err();
         assert_eq!(err.exit_code, 2);
         assert!(err.message.contains("unknown workload"));
         std::fs::remove_dir_all(&dir).ok();
@@ -404,7 +415,7 @@ mod tests {
             out: dir.clone(),
             checkpoint_every: None,
         };
-        execute_dump(&dump).unwrap();
+        execute_dump(&dump, 2).unwrap();
         let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -420,6 +431,48 @@ mod tests {
         assert_eq!(err.exit_code, 1);
         assert!(err.message.contains("FAIL"), "{}", err.message);
         assert!(err.message.contains("OK "), "good files still listed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_rejects_bytes_after_the_trailer() {
+        let dir = tmp_dir("tail");
+        let dump = TraceDumpArgs {
+            workloads: vec!["int".to_owned()],
+            quick: true,
+            commits: Some(150),
+            seed: Some(3),
+            out: dir.clone(),
+            checkpoint_every: Some(50),
+        };
+        execute_dump(&dump, 2).unwrap();
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        let victim = files[2].clone();
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes.extend_from_slice(b"GARBAGE-AFTER-TRAILER");
+        std::fs::write(&victim, bytes).unwrap();
+        let failure = format!(
+            "FAIL {}: corrupt trace: 21 trailing bytes after the trailer",
+            victim.display()
+        );
+        let err = execute_verify(&TraceFileArgs {
+            files: files.clone(),
+        })
+        .unwrap_err();
+        assert_eq!(err.exit_code, 1);
+        assert!(err.message.contains(&failure), "{}", err.message);
+        assert!(err.message.contains("failed for 1 of 6"), "{}", err.message);
+        let err = execute_info(&TraceFileArgs { files }).unwrap_err();
+        assert_eq!(err.exit_code, 1);
+        assert!(
+            err.message.contains(&victim.display().to_string()),
+            "{}",
+            err.message
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -466,17 +519,78 @@ mod tests {
 
     #[test]
     fn dump_rejects_mixed_suite_and_name_selections() {
-        let err = execute_dump(&TraceDumpArgs {
+        let out = std::env::temp_dir().join(format!("elsq-trace-unreached-{}", std::process::id()));
+        let dump = TraceDumpArgs {
             workloads: vec!["fp".to_owned(), "int-mcf".to_owned()],
             quick: true,
             commits: Some(10),
             seed: None,
-            out: std::env::temp_dir().join("elsq-trace-unreached"),
+            out: out.clone(),
             checkpoint_every: None,
-        })
-        .unwrap_err();
+        };
+        let err = execute_dump(&dump, 2).unwrap_err();
         assert_eq!(err.exit_code, 2);
         assert!(err.message.contains("not a mix"), "{}", err.message);
+        // A member named twice would be written twice, by two workers at
+        // once: refused before any directory is created.
+        let fp = suite(WorkloadClass::Fp, 7);
+        let (name, other) = (fp[1].name().to_owned(), fp[2].name().to_owned());
+        let err = execute_dump(
+            &TraceDumpArgs {
+                workloads: vec![name.clone(), other, name.clone()],
+                ..dump
+            },
+            2,
+        )
+        .unwrap_err();
+        assert_eq!(err.exit_code, 2);
+        assert!(
+            err.message.contains(&format!("`{name}` is named twice")),
+            "{}",
+            err.message
+        );
+        assert!(!out.exists(), "a usage error created {}", out.display());
+    }
+
+    /// The files and the summary of a dump are the same at any worker
+    /// count, for v1 and checkpointed dumps alike.
+    #[test]
+    fn dump_is_byte_identical_at_any_worker_count() {
+        for (tag, checkpoint_every) in [("v1", None), ("v2", Some(100))] {
+            let dump = |workers: usize| {
+                let dir = tmp_dir(&format!("det-{tag}-{workers}"));
+                let summary = execute_dump(
+                    &TraceDumpArgs {
+                        workloads: vec![],
+                        quick: true,
+                        commits: Some(450),
+                        seed: Some(11),
+                        out: dir.clone(),
+                        checkpoint_every,
+                    },
+                    workers,
+                )
+                .unwrap();
+                let summary = summary.replace(&dir.display().to_string(), "DIR");
+                (dir, summary)
+            };
+            let (serial, serial_summary) = dump(1);
+            let (parallel, parallel_summary) = dump(4);
+            assert_eq!(serial_summary, parallel_summary, "{tag}");
+            let names: Vec<_> = std::fs::read_dir(&serial)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names.len(), 12, "{tag}");
+            assert_eq!(std::fs::read_dir(&parallel).unwrap().count(), 12, "{tag}");
+            for name in names {
+                let one = std::fs::read(serial.join(&name)).unwrap();
+                let four = std::fs::read(parallel.join(&name)).unwrap();
+                assert!(one == four, "{tag}: {name:?} differs");
+            }
+            std::fs::remove_dir_all(&serial).ok();
+            std::fs::remove_dir_all(&parallel).ok();
+        }
     }
 
     #[test]
@@ -495,14 +609,17 @@ mod tests {
     #[test]
     fn single_suite_dump_replays_single_suite_experiments() {
         let dir = tmp_dir("fponly");
-        execute_dump(&TraceDumpArgs {
-            workloads: vec!["fp".to_owned()],
-            quick: false,
-            commits: Some(800),
-            seed: Some(7),
-            out: dir.clone(),
-            checkpoint_every: None,
-        })
+        execute_dump(
+            &TraceDumpArgs {
+                workloads: vec!["fp".to_owned()],
+                quick: false,
+                commits: Some(800),
+                seed: Some(7),
+                out: dir.clone(),
+                checkpoint_every: None,
+            },
+            2,
+        )
         .unwrap();
         let run = RunArgs {
             ids: vec!["tuning".to_owned()],
@@ -536,14 +653,17 @@ mod tests {
     #[test]
     fn run_with_trace_matches_generator_run() {
         let dir = tmp_dir("replay");
-        execute_dump(&TraceDumpArgs {
-            workloads: vec![],
-            quick: false,
-            commits: Some(1500),
-            seed: Some(7),
-            out: dir.clone(),
-            checkpoint_every: None,
-        })
+        execute_dump(
+            &TraceDumpArgs {
+                workloads: vec![],
+                quick: false,
+                commits: Some(1500),
+                seed: Some(7),
+                out: dir.clone(),
+                checkpoint_every: None,
+            },
+            2,
+        )
         .unwrap();
         let run = RunArgs {
             ids: vec!["fig7".to_owned()],

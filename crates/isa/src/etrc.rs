@@ -334,13 +334,36 @@ fn lzss_hash(window: &[u8]) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - LZSS_HASH_BITS)) as usize
 }
 
-/// LZSS-compresses `raw`. Returns `None` when the compressed form would not
-/// be smaller (the block is then stored raw).
-fn lzss_compress(raw: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw.len());
+/// The length of the common prefix of two equally long slices, compared
+/// eight bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("an 8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("an 8-byte chunk"));
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// LZSS-compresses `raw` into `out`, using `table` (`1 << LZSS_HASH_BITS`
+/// entries) as the match table. Returns `false` when the compressed form
+/// would not be smaller (the block is then stored raw).
+///
+/// Both buffers are the caller's, kept across blocks; they are reset here
+/// because every block compresses (and decodes) on its own.
+fn lzss_compress(raw: &[u8], table: &mut [u32], out: &mut Vec<u8>) -> bool {
+    out.clear();
     // Single-slot hash table of the most recent position of each 4-byte
     // prefix hash; position + 1 so 0 means empty.
-    let mut table = vec![0u32; 1 << LZSS_HASH_BITS];
+    table.fill(0);
     let mut pos = 0usize;
     let mut control_at = usize::MAX;
     let mut control_bits = 8u8;
@@ -367,10 +390,7 @@ fn lzss_compress(raw: &[u8]) -> Option<Vec<u8>> {
                 let dist = pos - cand;
                 if dist > 0 && dist <= u16::MAX as usize {
                     let limit = (raw.len() - pos).min(LZSS_MAX_MATCH);
-                    let mut len = 0usize;
-                    while len < limit && raw[cand + len] == raw[pos + len] {
-                        len += 1;
-                    }
+                    let len = common_prefix(&raw[cand..cand + limit], &raw[pos..pos + limit]);
                     if len >= LZSS_MIN_MATCH {
                         matched = len;
                         offset = dist;
@@ -379,7 +399,7 @@ fn lzss_compress(raw: &[u8]) -> Option<Vec<u8>> {
             }
         }
         if matched > 0 {
-            push_token(&mut out, true);
+            push_token(out, true);
             out.extend_from_slice(&(offset as u16).to_le_bytes());
             out.push((matched - LZSS_MIN_MATCH) as u8);
             // Index the interior of the match so later data can refer to it.
@@ -389,17 +409,25 @@ fn lzss_compress(raw: &[u8]) -> Option<Vec<u8>> {
             }
             pos += matched;
         } else {
-            push_token(&mut out, false);
+            push_token(out, false);
             out.push(raw[pos]);
             pos += 1;
         }
     }
-    (out.len() < raw.len()).then_some(out)
+    out.len() < raw.len()
 }
 
-/// Decompresses an LZSS payload into exactly `raw_len` bytes.
-fn lzss_decompress(comp: &[u8], raw_len: usize, block: u64) -> Result<Vec<u8>, EtrcError> {
-    let mut out = Vec::with_capacity(raw_len);
+/// Decompresses an LZSS payload into `out`, which ends up holding exactly
+/// `raw_len` bytes (the caller's buffer, kept across blocks). `raw_len`
+/// is read from the file, so nothing is reserved for it: `out` grows only
+/// with the bytes the stream produces.
+fn lzss_decompress(
+    comp: &[u8],
+    raw_len: usize,
+    block: u64,
+    out: &mut Vec<u8>,
+) -> Result<(), EtrcError> {
+    out.clear();
     let mut cursor = 0usize;
     let mut control = 0u8;
     let mut control_bits = 0u8;
@@ -432,11 +460,15 @@ fn lzss_decompress(comp: &[u8], raw_len: usize, block: u64) -> Result<Vec<u8>, E
                     "block {block}: LZSS match overruns the declared raw length"
                 )));
             }
-            // Byte-by-byte to support overlapping (run-length style) matches.
+            // Copy front to back in chunks that read only bytes already
+            // produced: one chunk for a match that does not overlap its
+            // output, doubling chunks for one that does (offset < length,
+            // run-length style), whose output repeats with period `offset`.
             let start = out.len() - offset;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            let end = out.len() + len;
+            while out.len() < end {
+                let n = (end - out.len()).min(out.len() - start);
+                out.extend_from_within(start..start + n);
             }
         } else {
             let b = *comp
@@ -452,7 +484,7 @@ fn lzss_decompress(comp: &[u8], raw_len: usize, block: u64) -> Result<Vec<u8>, E
             comp.len() - cursor
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -932,6 +964,10 @@ pub struct EtrcWriter<W: Write> {
     sink: W,
     meta: TraceMeta,
     raw: Vec<u8>,
+    /// The LZSS match table and compressed payload of the block being
+    /// flushed, kept across blocks so a flush allocates nothing.
+    lzss_table: Vec<u32>,
+    comp: Vec<u8>,
     n_records: u32,
     delta: DeltaState,
     block_target: usize,
@@ -961,6 +997,8 @@ impl<W: Write> EtrcWriter<W> {
         Ok(Self {
             sink,
             raw: Vec::with_capacity(meta.block_target as usize + 64),
+            lzss_table: vec![0; 1 << LZSS_HASH_BITS],
+            comp: Vec::new(),
             n_records: 0,
             delta: DeltaState::default(),
             block_target: meta.block_target as usize,
@@ -1014,11 +1052,12 @@ impl<W: Write> EtrcWriter<W> {
             return Ok(());
         }
         let crc = crc32(&self.raw);
-        let comp = lzss_compress(&self.raw);
-        let (encoding, payload): (u8, &[u8]) = match &comp {
-            Some(comp) => (ENC_LZSS, comp),
-            None => (ENC_RAW, &self.raw),
-        };
+        let (encoding, payload): (u8, &[u8]) =
+            if lzss_compress(&self.raw, &mut self.lzss_table, &mut self.comp) {
+                (ENC_LZSS, &self.comp)
+            } else {
+                (ENC_RAW, &self.raw)
+            };
         let mut header = [0u8; BLOCK_HEADER_LEN];
         header[0..4].copy_from_slice(&self.n_records.to_le_bytes());
         header[4..8].copy_from_slice(&(self.raw.len() as u32).to_le_bytes());
@@ -1096,7 +1135,12 @@ pub struct TraceStats {
 pub struct EtrcReader<R: Read> {
     src: R,
     meta: TraceMeta,
+    /// The current block's decoded records.
     block: Vec<u8>,
+    /// The on-disk payload of the block being loaded. Both buffers are
+    /// kept across blocks (a raw block swaps them), so loading a block
+    /// allocates nothing once they have grown to the block size.
+    payload: Vec<u8>,
     cursor: usize,
     records_left: u32,
     delta: DeltaState,
@@ -1118,6 +1162,7 @@ impl<R: Read> EtrcReader<R> {
             src,
             meta,
             block: Vec::new(),
+            payload: Vec::new(),
             cursor: 0,
             records_left: 0,
             delta: DeltaState::default(),
@@ -1192,30 +1237,44 @@ impl<R: Read> EtrcReader<R> {
                     self.stats.insts
                 )));
             }
+            let extra = std::io::copy(&mut self.src, &mut std::io::sink())?;
+            if extra > 0 {
+                return Err(EtrcError::Corrupt(format!(
+                    "{extra} trailing bytes after the trailer"
+                )));
+            }
             self.done = true;
             return Ok(false);
         }
-        let mut payload = vec![0u8; comp_len];
-        read_exact_or(&mut self.src, &mut payload, "block payload")?;
+        // `comp_len` is read from the file: the buffer grows only with the
+        // bytes that actually arrive, so a corrupt length cannot claim
+        // more memory than the file holds.
+        self.payload.clear();
+        (&mut self.src)
+            .take(comp_len as u64)
+            .read_to_end(&mut self.payload)?;
+        if self.payload.len() != comp_len {
+            return Err(EtrcError::Truncated("block payload"));
+        }
         self.stats.file_bytes += comp_len as u64;
         let block_index = self.stats.blocks;
-        let raw = match encoding {
+        match encoding {
             ENC_RAW => {
                 if comp_len != raw_len {
                     return Err(EtrcError::Corrupt(format!(
                         "block {block_index}: raw block with comp_len {comp_len} != raw_len {raw_len}"
                     )));
                 }
-                payload
+                std::mem::swap(&mut self.block, &mut self.payload);
             }
-            ENC_LZSS => lzss_decompress(&payload, raw_len, block_index)?,
+            ENC_LZSS => lzss_decompress(&self.payload, raw_len, block_index, &mut self.block)?,
             other => {
                 return Err(EtrcError::Corrupt(format!(
                     "block {block_index}: unknown encoding {other}"
                 )));
             }
-        };
-        if crc32(&raw) != crc {
+        }
+        if crc32(&self.block) != crc {
             return Err(EtrcError::Crc {
                 what: "block",
                 block: block_index,
@@ -1224,7 +1283,6 @@ impl<R: Read> EtrcReader<R> {
         self.stats.blocks += 1;
         self.stats.raw_bytes += raw_len as u64;
         self.stats.compressed_bytes += comp_len as u64;
-        self.block = raw;
         self.cursor = 0;
         self.records_left = n_records;
         self.delta = DeltaState::default();
@@ -1806,6 +1864,140 @@ mod tests {
         assert!(stats.raw_bytes > 0);
     }
 
+    /// The byte-at-a-time decompressor [`lzss_decompress`] replaced: every
+    /// match, overlapping or not, copies one byte at a time. The reference
+    /// the bulk-copying decoder must agree with, output and errors alike.
+    fn reference_lzss_decompress(
+        comp: &[u8],
+        raw_len: usize,
+        block: u64,
+    ) -> Result<Vec<u8>, EtrcError> {
+        let mut out = Vec::with_capacity(raw_len);
+        let mut cursor = 0usize;
+        let mut control = 0u8;
+        let mut control_bits = 0u8;
+        while out.len() < raw_len {
+            if control_bits == 0 {
+                control = *comp
+                    .get(cursor)
+                    .ok_or(EtrcError::Truncated("LZSS control byte"))?;
+                cursor += 1;
+                control_bits = 8;
+            }
+            let is_match = control & 1 != 0;
+            control >>= 1;
+            control_bits -= 1;
+            if is_match {
+                let bytes = comp
+                    .get(cursor..cursor + 3)
+                    .ok_or(EtrcError::Truncated("LZSS match token"))?;
+                cursor += 3;
+                let offset = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+                let len = bytes[2] as usize + LZSS_MIN_MATCH;
+                if offset == 0 || offset > out.len() {
+                    return Err(EtrcError::Corrupt(format!(
+                        "block {block}: LZSS offset {offset} outside the {} bytes produced",
+                        out.len()
+                    )));
+                }
+                if out.len() + len > raw_len {
+                    return Err(EtrcError::Corrupt(format!(
+                        "block {block}: LZSS match overruns the declared raw length"
+                    )));
+                }
+                let start = out.len() - offset;
+                for i in 0..len {
+                    let b = out[start + i];
+                    out.push(b);
+                }
+            } else {
+                let b = *comp
+                    .get(cursor)
+                    .ok_or(EtrcError::Truncated("LZSS literal"))?;
+                cursor += 1;
+                out.push(b);
+            }
+        }
+        if cursor != comp.len() {
+            return Err(EtrcError::Corrupt(format!(
+                "block {block}: {} trailing bytes after the LZSS stream",
+                comp.len() - cursor
+            )));
+        }
+        Ok(out)
+    }
+
+    /// [`lzss_compress`] into buffers holding stale contents, as a
+    /// writer's reused ones do: the compressed bytes, or `None` for a
+    /// block stored raw.
+    fn compress(raw: &[u8]) -> Option<Vec<u8>> {
+        let mut table = vec![u32::MAX; 1 << LZSS_HASH_BITS];
+        let mut out = vec![0xAA; 7];
+        lzss_compress(raw, &mut table, &mut out).then_some(out)
+    }
+
+    /// Both decoders over one stream, errors as their `Display` strings.
+    /// The bulk decoder writes into a buffer holding stale bytes, as a
+    /// reader's reused buffer does.
+    fn both_decoders(
+        comp: &[u8],
+        raw_len: usize,
+    ) -> (Result<Vec<u8>, String>, Result<Vec<u8>, String>) {
+        let mut out = vec![0x5A; 100];
+        let bulk = lzss_decompress(comp, raw_len, 3, &mut out)
+            .map(|()| out)
+            .map_err(|e| e.to_string());
+        let reference = reference_lzss_decompress(comp, raw_len, 3).map_err(|e| e.to_string());
+        (bulk, reference)
+    }
+
+    /// A payload built from `(kind, len, byte)` segments: runs of one byte
+    /// (overlapping matches at offset 1), short periodic patterns
+    /// (overlapping matches at offsets 2–9), repeats of earlier output
+    /// (non-overlapping matches) and pseudo-random bytes (literals, and a
+    /// raw block when they dominate).
+    fn lzss_payload(segments: &[(u8, u16, u8)]) -> Vec<u8> {
+        let mut raw: Vec<u8> = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for &(kind, len, byte) in segments {
+            let len = usize::from(len);
+            match kind % 4 {
+                0 => raw.extend(std::iter::repeat(byte).take(len)),
+                1 => {
+                    let period = usize::from(byte % 8) + 2;
+                    let pattern: Vec<u8> =
+                        (0..period).map(|i| byte.wrapping_add(i as u8)).collect();
+                    raw.extend(pattern.iter().cycle().take(len));
+                }
+                2 if raw.len() >= len => {
+                    let from = raw.len() - len - (usize::from(byte) % (raw.len() - len + 1));
+                    raw.extend_from_within(from..from + len);
+                }
+                _ => raw.extend((0..len).map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 32) as u8
+                })),
+            }
+        }
+        raw
+    }
+
+    #[test]
+    fn common_prefix_matches_a_byte_loop() {
+        let a: Vec<u8> = (0..40u8).collect();
+        for len in 0..a.len() {
+            for differ_at in 0..=len {
+                let mut b = a[..len].to_vec();
+                if let Some(byte) = b.get_mut(differ_at) {
+                    *byte ^= 0x80;
+                }
+                assert_eq!(common_prefix(&a[..len], &b), differ_at, "len {len}");
+            }
+        }
+    }
+
     #[test]
     fn lzss_round_trips_pathological_inputs() {
         let cases: Vec<Vec<u8>> = vec![
@@ -1817,15 +2009,178 @@ mod tests {
             (0..4096u32).flat_map(|i| (i % 7).to_le_bytes()).collect(),
         ];
         for raw in cases {
-            match lzss_compress(&raw) {
+            match compress(&raw) {
                 Some(comp) => {
                     assert!(comp.len() < raw.len());
-                    let back = lzss_decompress(&comp, raw.len(), 0).unwrap();
-                    assert_eq!(back, raw);
+                    let (bulk, reference) = both_decoders(&comp, raw.len());
+                    assert_eq!(bulk.as_ref(), Ok(&raw));
+                    assert_eq!(reference, Ok(raw));
                 }
                 None => { /* incompressible: stored raw, nothing to check */ }
             }
         }
+    }
+
+    proptest::proptest! {
+        /// The bulk-copying decoder agrees with the byte-at-a-time
+        /// reference on every stream: the compressor's own output, which
+        /// both must turn back into the payload, and truncated, mutated or
+        /// mis-sized streams, which both must decode to the same bytes or
+        /// refuse with the same message. Incompressible payloads (stored
+        /// raw by the writer) are fed to both as arbitrary streams.
+        #[test]
+        fn bulk_lzss_decode_matches_the_byte_at_a_time_reference(
+            segments in proptest::collection::vec((0u8..4, 0u16..600, 0u8..255), 1..24),
+            cut in 0usize..4096,
+            flip in (0usize..4096, 1u8..255),
+            len_delta in 0usize..64,
+        ) {
+            let raw = lzss_payload(&segments);
+            let comp = match compress(&raw) {
+                Some(comp) => {
+                    let (bulk, reference) = both_decoders(&comp, raw.len());
+                    proptest::prop_assert_eq!(bulk.as_ref(), Ok(&raw));
+                    proptest::prop_assert_eq!(reference, Ok(raw.clone()));
+                    comp
+                }
+                None => raw.clone(),
+            };
+            let cut = cut % (comp.len() + 1);
+            let (bulk, reference) = both_decoders(&comp[..cut], raw.len());
+            proptest::prop_assert_eq!(bulk, reference, "truncated at {}", cut);
+            if !comp.is_empty() {
+                let mut mutated = comp.clone();
+                mutated[flip.0 % comp.len()] ^= flip.1;
+                let (bulk, reference) = both_decoders(&mutated, raw.len());
+                proptest::prop_assert_eq!(bulk, reference, "byte {} ^ {:#x}", flip.0, flip.1);
+            }
+            for raw_len in [raw.len() + len_delta, raw.len().saturating_sub(len_delta)] {
+                let (bulk, reference) = both_decoders(&comp, raw_len);
+                proptest::prop_assert_eq!(bulk, reference, "declared raw length {}", raw_len);
+            }
+        }
+    }
+
+    /// A stream whose blocks alternate between compressible runs of
+    /// [`sample_stream`] and pseudo-random loads whose varint deltas do
+    /// not compress, so a small block target yields both encodings.
+    fn mixed_stream(n: usize) -> Vec<DynInst> {
+        let regular = sample_stream(n);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        regular
+            .into_iter()
+            .enumerate()
+            .map(|(i, inst)| {
+                if (i / 48) % 2 == 0 {
+                    inst
+                } else {
+                    InstBuilder::load(next() & !3, next(), 8)
+                        .dst(ArchReg::int((next() % 32) as u8))
+                        .build()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mixed_raw_and_lzss_blocks_decode_and_skip_like_decode_discard() {
+        let insts = mixed_stream(1200);
+        let mut v1 = TraceMeta::named("mixed-v1", 0);
+        v1.block_target = 256;
+        let mut v2 = TraceMeta::named("mixed-v2", 0).with_checkpoints(300);
+        v2.block_target = 256;
+        for meta in [v1, v2] {
+            let label = meta.name.clone();
+            let bytes = write_trace(&insts, &meta).unwrap();
+            let headers = block_headers(&bytes);
+            assert!(
+                headers.iter().any(|h| h.1 == ENC_RAW),
+                "{label}: no raw block"
+            );
+            assert!(
+                headers.iter().any(|h| h.1 == ENC_LZSS),
+                "{label}: no LZSS block"
+            );
+            assert_eq!(read_trace(&bytes).unwrap().1, insts, "{label}");
+
+            let ends = block_ends(&bytes);
+            let mut targets = vec![0, 1, insts.len() as u64];
+            for &end in &ends {
+                targets.extend([end - 1, end, end + 1]);
+            }
+            for (i, &target) in targets.iter().enumerate() {
+                // Decode a short prefix (0–4 records, varying with `i`),
+                // then skip the rest of the way to `target`.
+                let decoded = (i % 5).min(target as usize);
+                let mut reader = EtrcReader::new(std::io::Cursor::new(&bytes)).unwrap();
+                for inst in &insts[..decoded] {
+                    assert_eq!(reader.next_inst().unwrap().as_ref(), Some(inst), "{label}");
+                }
+                let skipped = reader.skip_insts(target - decoded as u64).unwrap();
+                let landed = (target as usize).min(insts.len());
+                assert_eq!(
+                    skipped as usize,
+                    landed - decoded,
+                    "{label}: skip to {target}"
+                );
+                let mut suffix = Vec::new();
+                while let Some(inst) = reader.next_inst().unwrap() {
+                    suffix.push(inst);
+                }
+                assert_eq!(suffix, insts[landed..], "{label}: skip to {target}");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_block_lengths_claim_no_more_memory_than_the_file_holds() {
+        let bytes = write_trace(&sample_stream(300), &TraceMeta::named("len", 0)).unwrap();
+        let at = EtrcReader::new(&bytes[..]).unwrap().header_len as usize;
+        for field in [4..8, 8..12] {
+            let mut bad = bytes.clone();
+            bad[at + field.start..at + field.end].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut reader = EtrcReader::new(&bad[..]).unwrap();
+            let err = reader.next_inst().unwrap_err();
+            assert!(
+                matches!(err, EtrcError::Truncated(_) | EtrcError::Corrupt(_)),
+                "got {err}"
+            );
+            // The field claims 4 GiB; the buffers hold what the file made.
+            assert!(reader.payload.capacity() <= 2 * bad.len());
+            assert!(reader.block.capacity() < 1 << 20);
+        }
+    }
+
+    #[test]
+    fn bytes_after_the_trailer_are_rejected() {
+        let insts = sample_stream(300);
+        let mut meta = TraceMeta::named("tail", 0);
+        meta.block_target = 512;
+        let mut bytes = write_trace(&insts, &meta).unwrap();
+        bytes.extend_from_slice(b"GARBAGE-AFTER-TRAILER");
+        let expect = "corrupt trace: 21 trailing bytes after the trailer";
+        let err = read_trace(&bytes).unwrap_err();
+        assert!(matches!(err, EtrcError::Corrupt(_)), "got {err}");
+        assert_eq!(err.to_string(), expect);
+        assert_eq!(inspect(&bytes[..]).unwrap_err().to_string(), expect);
+        // A skip to the end leaves the trailer to the next decode, which
+        // refuses the extra bytes as well.
+        let mut reader = EtrcReader::new(std::io::Cursor::new(&bytes)).unwrap();
+        assert_eq!(reader.skip_insts(u64::MAX).unwrap(), 300);
+        assert_eq!(reader.next_inst().unwrap_err().to_string(), expect);
+        // One stray byte is enough.
+        let mut one = write_trace(&insts, &meta).unwrap();
+        one.push(0);
+        assert_eq!(
+            read_trace(&one).unwrap_err().to_string(),
+            "corrupt trace: 1 trailing bytes after the trailer"
+        );
     }
 
     #[test]
@@ -2083,21 +2438,30 @@ mod tests {
         (insts, images)
     }
 
-    /// Cumulative record count at the end of each data block of `bytes`.
-    fn block_ends(bytes: &[u8]) -> Vec<u64> {
+    /// Each data block's record count and encoding byte, in file order.
+    fn block_headers(bytes: &[u8]) -> Vec<(u32, u8)> {
         let mut at = EtrcReader::new(bytes).unwrap().header_len as usize;
-        let mut ends = Vec::new();
-        let mut total = 0u64;
+        let mut headers = Vec::new();
         loop {
             let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
             if n == 0 {
-                return ends;
+                return headers;
             }
+            headers.push((n, bytes[at + 12]));
             let comp = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap());
-            total += u64::from(n);
-            ends.push(total);
             at += BLOCK_HEADER_LEN + comp as usize;
         }
+    }
+
+    /// Cumulative record count at the end of each data block of `bytes`.
+    fn block_ends(bytes: &[u8]) -> Vec<u64> {
+        block_headers(bytes)
+            .into_iter()
+            .scan(0u64, |total, (n, _)| {
+                *total += u64::from(n);
+                Some(*total)
+            })
+            .collect()
     }
 
     #[test]
