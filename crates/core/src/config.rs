@@ -47,10 +47,11 @@ impl Default for ErtKind {
 }
 
 /// Load-queue removal / re-execution mode (Section 3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ReexecMode {
     /// No re-execution: the load queues are associative and stores search
     /// them for ordering violations (the baseline ELSQ design).
+    #[default]
     None,
     /// Store Vulnerability Window re-execution: the load queue is
     /// non-associative; loads re-execute at commit when the SSBF says they
@@ -63,12 +64,6 @@ pub enum ReexecMode {
         /// no younger unknown-address store in flight skip re-execution.
         check_stores: bool,
     },
-}
-
-impl Default for ReexecMode {
-    fn default() -> Self {
-        ReexecMode::None
-    }
 }
 
 impl ReexecMode {

@@ -19,9 +19,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which restricted disambiguation model the ELSQ runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum DisambiguationModel {
     /// Loads and stores may disambiguate in both locality levels.
+    #[default]
     Full,
     /// Store address calculation restricted to the high-locality level.
     RestrictedSac,
@@ -29,12 +30,6 @@ pub enum DisambiguationModel {
     RestrictedLac,
     /// Both restrictions applied.
     RestrictedSacLac,
-}
-
-impl Default for DisambiguationModel {
-    fn default() -> Self {
-        DisambiguationModel::Full
-    }
 }
 
 impl DisambiguationModel {

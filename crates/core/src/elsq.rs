@@ -508,7 +508,7 @@ impl Elsq {
         &mut self,
         kind: MemOpKind,
         seq: u64,
-        mut l1: Option<&mut SetAssocCache>,
+        l1: Option<&mut SetAssocCache>,
     ) -> Result<usize, MigrateError> {
         if let Some(by_seq) = self.migration_block {
             self.counters.restricted_stalls += 1;
@@ -525,9 +525,7 @@ impl Elsq {
             .and_then(|e| e.addr);
         // Line locking must succeed *before* the entry leaves the HL-LSQ.
         if let (Some(a), true) = (addr, self.line_based()) {
-            let cache = l1
-                .as_deref_mut()
-                .expect("line-based ERT requires the L1 cache");
+            let cache = l1.expect("line-based ERT requires the L1 cache");
             match cache.lock_line(a.addr) {
                 LockOutcome::SetFull => {
                     self.counters.lock_conflict_stalls += 1;
@@ -597,7 +595,7 @@ impl Elsq {
         seq: u64,
         addr: MemAccess,
         cycle: u64,
-        mut l1: Option<&mut SetAssocCache>,
+        l1: Option<&mut SetAssocCache>,
     ) -> LoadIssueOutcome {
         let mut out = LoadIssueOutcome {
             forwarded_from: None,
@@ -616,9 +614,7 @@ impl Elsq {
         // Lock the line / publish the load in the ERT so older stores that
         // resolve later can find it.
         if self.line_based() && self.track_loads() {
-            let cache = l1
-                .as_deref_mut()
-                .expect("line-based ERT requires the L1 cache");
+            let cache = l1.expect("line-based ERT requires the L1 cache");
             match cache.lock_line(addr.addr) {
                 LockOutcome::SetFull => {
                     self.counters.lock_conflict_squashes += 1;
@@ -735,7 +731,7 @@ impl Elsq {
         seq: u64,
         addr: MemAccess,
         cycle: u64,
-        mut l1: Option<&mut SetAssocCache>,
+        l1: Option<&mut SetAssocCache>,
     ) -> StoreResolveOutcome {
         let mut out = StoreResolveOutcome {
             violation_load_seq: None,
@@ -746,9 +742,7 @@ impl Elsq {
             self.migration_block = None;
         }
         if self.line_based() {
-            let cache = l1
-                .as_deref_mut()
-                .expect("line-based ERT requires the L1 cache");
+            let cache = l1.expect("line-based ERT requires the L1 cache");
             match cache.lock_line(addr.addr) {
                 LockOutcome::SetFull => {
                     self.counters.lock_conflict_squashes += 1;
@@ -863,11 +857,11 @@ impl Elsq {
     /// drops its mirrored stores and returns its stores for write-back.
     pub fn commit_oldest_epoch(
         &mut self,
-        mut l1: Option<&mut SetAssocCache>,
+        l1: Option<&mut SetAssocCache>,
     ) -> Option<CommittedEpoch> {
         let epoch = self.ll.commit_oldest()?;
         let bank = epoch.bank();
-        self.finish_epoch(bank, l1.as_deref_mut());
+        self.finish_epoch(bank, l1);
         let committed = CommittedEpoch {
             bank,
             loads: epoch.load_count(),
@@ -881,12 +875,12 @@ impl Elsq {
     /// allocation-free path the cycle loop uses when only the timing side
     /// effects matter (the store write-back is modeled at instruction
     /// commit, not here). Returns whether an epoch was retired.
-    pub fn retire_oldest_epoch(&mut self, mut l1: Option<&mut SetAssocCache>) -> bool {
+    pub fn retire_oldest_epoch(&mut self, l1: Option<&mut SetAssocCache>) -> bool {
         let Some(epoch) = self.ll.commit_oldest() else {
             return false;
         };
         let bank = epoch.bank();
-        self.finish_epoch(bank, l1.as_deref_mut());
+        self.finish_epoch(bank, l1);
         self.ll.recycle(epoch);
         true
     }

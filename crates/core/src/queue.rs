@@ -25,9 +25,11 @@
 //! * **address buckets** keyed by 64-byte line mapping each line to the
 //!   slots whose known address touches it, so the forwarding and violation
 //!   searches only examine same-line entries instead of the whole queue;
-//! * an ordered **unknown-address set** of the sequence numbers whose
-//!   address is still pending, answering the `has_older_unknown_address` /
-//!   `has_unknown_address_between` predicates in O(log n).
+//! * an **unknown-address deque** of the sequence numbers whose address is
+//!   still pending, kept ascending (entries arrive in program order, so it
+//!   grows only at the back; commit and squash pop its ends): the
+//!   `has_older_unknown_address` predicate reads its front and
+//!   `has_unknown_address_between` is one binary search.
 //!
 //! Freed slots (commit, remove, squash, clear) return to a free list and
 //! emptied bucket vectors return to a pool, so a steady-state simulation
@@ -36,9 +38,8 @@
 //! equivalence against a naive reference model over random op sequences.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::fmt;
-use std::ops::Bound;
 
 use elsq_isa::MemAccess;
 
@@ -224,8 +225,9 @@ pub struct AgeQueue {
     index: FxHashMap<u64, u32>,
     /// `index line -> slots with a known address touching the line`.
     buckets: LineBuckets<u32>,
-    /// Sequence numbers whose address is still unknown, ordered.
-    unknown: BTreeSet<u64>,
+    /// Sequence numbers whose address is still unknown, ascending. Entries
+    /// arrive in program order, so it only grows at the back.
+    unknown: VecDeque<u64>,
 }
 
 impl AgeQueue {
@@ -242,7 +244,7 @@ impl AgeQueue {
             capacity: Some(capacity),
             index: FxHashMap::default(),
             buckets: LineBuckets::default(),
-            unknown: BTreeSet::new(),
+            unknown: VecDeque::new(),
         }
     }
 
@@ -258,7 +260,7 @@ impl AgeQueue {
             capacity: None,
             index: FxHashMap::default(),
             buckets: LineBuckets::default(),
-            unknown: BTreeSet::new(),
+            unknown: VecDeque::new(),
         }
     }
 
@@ -339,13 +341,23 @@ impl AgeQueue {
         self.index.remove(&entry.seq);
         match entry.addr {
             Some(access) => self.buckets.remove(&access, slot),
-            None => {
-                self.unknown.remove(&entry.seq);
-            }
+            None => self.forget_unknown(entry.seq),
         }
         self.free.push(slot);
         self.len -= 1;
         entry
+    }
+
+    /// Drops `seq` from the unknown-address set. Commit removes the oldest
+    /// entry and squash the youngest, so the ends are checked first.
+    fn forget_unknown(&mut self, seq: u64) {
+        if self.unknown.front() == Some(&seq) {
+            self.unknown.pop_front();
+        } else if self.unknown.back() == Some(&seq) {
+            self.unknown.pop_back();
+        } else if let Ok(at) = self.unknown.binary_search(&seq) {
+            self.unknown.remove(at);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -391,9 +403,7 @@ impl AgeQueue {
         self.index.insert(entry.seq, slot);
         match entry.addr {
             Some(access) => self.buckets.insert(&access, slot),
-            None => {
-                self.unknown.insert(entry.seq);
-            }
+            None => self.unknown.push_back(entry.seq),
         }
         Ok(())
     }
@@ -414,9 +424,7 @@ impl AgeQueue {
         let previous = self.entries[slot as usize].addr;
         match previous {
             Some(old) => self.buckets.remove(&old, slot),
-            None => {
-                self.unknown.remove(&seq);
-            }
+            None => self.forget_unknown(seq),
         }
         self.entries[slot as usize].addr = Some(addr);
         self.buckets.insert(&addr, slot);
@@ -521,7 +529,9 @@ impl AgeQueue {
     /// address (used by the conservative forwarding policies and the SVW
     /// "CheckStores" filter).
     pub fn has_older_unknown_address(&self, load_seq: u64) -> bool {
-        self.unknown.range(..load_seq).next().is_some()
+        self.unknown
+            .front()
+            .is_some_and(|&oldest| oldest < load_seq)
     }
 
     /// Whether any store with sequence number in `(after_seq, before_seq)`
@@ -531,10 +541,10 @@ impl AgeQueue {
         if after_seq >= before_seq {
             return false;
         }
+        let first_after = self.unknown.partition_point(|&seq| seq <= after_seq);
         self.unknown
-            .range((Bound::Excluded(after_seq), Bound::Excluded(before_seq)))
-            .next()
-            .is_some()
+            .get(first_after)
+            .is_some_and(|&seq| seq < before_seq)
     }
 
     /// Finds the **oldest load younger than the store** that has already

@@ -312,19 +312,34 @@ impl Processor {
         // fetch schedule until it ends, so the schedule alone fixes how many
         // slots land before resolution.
         let burst = st.fetch_ports.free_before(probe, resolve, max_wp);
+        // Every slot of the burst is a probe of `probe`, so the slots of
+        // the instructions that only take a fetch slot are owed and
+        // reserved in bulk just before a load takes its own.
+        let mut owed = 0u64;
         let mut fetched = 0u64;
         while fetched < burst {
             let (alus, mem) = workload.wrong_path_run(0x4000_0000 + fetched * 4, burst - fetched);
             debug_assert!(mem.is_some() || alus == burst - fetched);
             // ALU ops only take fetch slots (and ROB entries, below).
-            st.fetch_ports.reserve_n(probe, alus);
+            owed += alus;
             fetched += alus;
-            if let Some(inst) = mem {
-                let fetch = st.fetch_ports.reserve(probe);
-                self.process_wrong_path_inst(st, inst, wp_start_seq + fetched, fetch, resolve);
-                fetched += 1;
+            let Some(inst) = mem else { break };
+            let seq = wp_start_seq + fetched;
+            fetched += 1;
+            if inst.is_load() && !st.lsq.has_room(MemOpKind::Load) {
+                // Nothing in a burst frees an LQ entry, so no later load
+                // finds room either: draw the tail without building it.
+                workload.wrong_path_skip(burst - fetched);
+                owed += 1 + burst - fetched;
+                fetched = burst;
+                break;
             }
+            st.fetch_ports.reserve_n(probe, owed);
+            owed = 0;
+            let fetch = st.fetch_ports.reserve(probe);
+            self.process_wrong_path_inst(st, inst, seq, fetch, resolve);
         }
+        st.fetch_ports.reserve_n(probe, owed);
         if burst < max_wp {
             // The first slot at or past resolution belongs to the redirected
             // correct path; it stays reserved, which models the fetch bubble

@@ -1486,6 +1486,12 @@ impl TraceSource for FileTrace {
         }
     }
 
+    fn wrong_path_skip(&mut self, n: u64) {
+        if let Some(synth) = &mut self.wrong_path {
+            synth.skip(n);
+        }
+    }
+
     fn name(&self) -> &str {
         &self.reader.meta().name
     }

@@ -304,6 +304,12 @@ impl TraceSource for SharedCursor {
         }
     }
 
+    fn wrong_path_skip(&mut self, n: u64) {
+        if let Some(synth) = &mut self.synth {
+            synth.skip(n);
+        }
+    }
+
     fn name(&self) -> &str {
         self.stream.name()
     }
@@ -394,6 +400,9 @@ mod tests {
             fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
                 self.1.run(pc, max)
             }
+            fn wrong_path_skip(&mut self, n: u64) {
+                self.1.skip(n);
+            }
             fn name(&self) -> &str {
                 "spec-source"
             }
@@ -420,6 +429,35 @@ mod tests {
             let want = reference.run(pc, max);
             assert_eq!(a.wrong_path_run(pc, max), want);
             assert_eq!(b.wrong_path_run(pc, max), want);
+        }
+    }
+
+    #[test]
+    fn spec_cursor_stays_in_lockstep_across_a_skip() {
+        let spec = WrongPathSpec {
+            seed: 23,
+            region_base: 0x1_0000,
+            region_size: 1 << 16,
+            load_rate: 0.3,
+        };
+        let stream = Arc::new(SharedStream {
+            wrong_path: Some(spec),
+            ..SharedStream::capture(&mut VecTrace::new(mk(1)), 1)
+        });
+        let mut cursor = stream.cursor();
+        let mut reference = WrongPathSynth::from_spec(spec);
+        for i in 0..50 {
+            let (pc, max) = (0x4000_0000 + i * 64, i % 11);
+            assert_eq!(cursor.wrong_path_run(pc, max), reference.run(pc, max));
+            cursor.wrong_path_skip(i % 13);
+            reference.skip(i % 13);
+        }
+        // Lockstep means every later draw agrees too.
+        for i in 0..20 {
+            assert_eq!(
+                cursor.wrong_path_run(i * 4, 1_000),
+                reference.run(i * 4, 1_000)
+            );
         }
     }
     #[test]

@@ -11,7 +11,8 @@
 //! Most wrong-path instructions are ALU operations that the timing model
 //! only counts, so sources hand them out in runs:
 //! [`TraceSource::wrong_path_run`] draws instructions up to and including
-//! the next memory instruction and builds only that one.
+//! the next memory instruction and builds only that one, and
+//! [`TraceSource::wrong_path_skip`] draws instructions and builds none.
 
 use crate::inst::DynInst;
 use crate::wrongpath::WrongPathSpec;
@@ -41,6 +42,17 @@ pub trait TraceSource: Send {
     fn wrong_path_run(&mut self, _pc: u64, max: u64) -> (u64, Option<DynInst>) {
         (max, None)
     }
+
+    /// Draws `n` wrong-path instructions the caller has no use for, leaving
+    /// the wrong-path stream exactly where `n` instructions' worth of
+    /// [`TraceSource::wrong_path_run`] calls would leave it, without
+    /// building any of them.
+    ///
+    /// The default does nothing, like the default run: sources with no
+    /// wrong-path spec draw nothing. Every source that overrides
+    /// `wrong_path_run` with a [`crate::wrongpath::WrongPathSynth`] must
+    /// override this with [`crate::wrongpath::WrongPathSynth::skip`].
+    fn wrong_path_skip(&mut self, _n: u64) {}
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
@@ -259,6 +271,7 @@ mod tests {
         let mut t = VecTrace::new(mk(1));
         assert_eq!(t.wrong_path_run(0x999, 17), (17, None));
         assert_eq!(t.wrong_path_run(0x999, 0), (0, None));
+        t.wrong_path_skip(1_000);
         assert_eq!(
             t.remaining(),
             1,

@@ -117,8 +117,24 @@ impl WrongPathSynth {
         (max, None)
     }
 
+    /// Draws `n` wrong-path instructions and builds none of them: the RNG
+    /// draws are exactly those of `n` [`WrongPathSynth::inst`] calls (one
+    /// `gen_bool` per instruction plus a `gen_range` per load).
+    pub fn skip(&mut self, n: u64) {
+        for _ in 0..n {
+            if self.rng.gen_bool(self.spec.load_rate) {
+                self.load_offset();
+            }
+        }
+    }
+
+    /// The byte offset of a load into the probed region (one RNG draw).
+    fn load_offset(&mut self) -> u64 {
+        self.rng.gen_range(0..self.spec.region_size / 8) * 8
+    }
+
     fn load(&mut self, pc: u64) -> DynInst {
-        let offset = self.rng.gen_range(0..self.spec.region_size / 8) * 8;
+        let offset = self.load_offset();
         InstBuilder::load(pc, self.spec.region_base + offset, 8)
             .dst(ArchReg::int(9))
             .src(ArchReg::int(8))
@@ -207,31 +223,53 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Interleaved `run` calls with arbitrary bounds yield the loads a
-        /// reference loop of `inst` calls yields, at the same PCs, and leave
-        /// the RNG in the same state.
+        /// Interleaved `run`, `skip` and `inst` calls with arbitrary bounds
+        /// yield the loads a reference loop of `inst` calls yields, at the
+        /// same PCs, and leave the RNG in the same state — also at load
+        /// rates 0 and 1, where every draw goes one way.
         #[test]
         fn runs_match_a_reference_loop_of_inst_calls(
             seed in 0u64..1_000,
-            load_rate in 0.0f64..1.0,
-            maxes in proptest::collection::vec(0u64..64, 1..40),
+            rate in 0.0f64..1.0,
+            rate_pick in 0u8..4,
+            ops in proptest::collection::vec((0u8..3, 0u64..64), 1..40),
         ) {
+            let load_rate = match rate_pick {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rate,
+            };
             let mut bulk = WrongPathSynth::new(seed, 0x8000, 4096, load_rate);
             let mut reference = bulk.clone();
             let mut pc = 0x4000_0000u64;
-            for max in maxes {
-                let (count, load) = bulk.run(pc, max);
-                let mut want = (max, None);
-                for i in 0..max {
-                    let inst = reference.inst(pc + 4 * i);
-                    if inst.is_mem() {
-                        want = (i, Some(inst));
-                        break;
+            for (op, n) in ops {
+                match op {
+                    0 => {
+                        let (count, load) = bulk.run(pc, n);
+                        let mut want = (n, None);
+                        for i in 0..n {
+                            let inst = reference.inst(pc + 4 * i);
+                            if inst.is_mem() {
+                                want = (i, Some(inst));
+                                break;
+                            }
+                        }
+                        proptest::prop_assert_eq!((count, load), want);
+                        pc += 4 * (count + u64::from(load.is_some()));
+                    }
+                    1 => {
+                        bulk.skip(n);
+                        for i in 0..n {
+                            reference.inst(pc + 4 * i);
+                        }
+                        pc += 4 * n;
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(bulk.inst(pc), reference.inst(pc));
+                        pc += 4;
                     }
                 }
-                proptest::prop_assert_eq!((count, load), want);
                 proptest::prop_assert_eq!(&bulk.rng, &reference.rng);
-                pc += 4 * (count + u64::from(load.is_some()));
             }
         }
     }

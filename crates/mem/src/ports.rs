@@ -180,10 +180,10 @@ impl PortSchedule {
         self.base = cycle;
     }
 
-    /// Number of cycles currently tracked with at least one reservation
-    /// (bounded by `retire_before`).
-    pub fn tracked_cycles(&self) -> usize {
-        self.used.iter().filter(|&&u| u > 0).count()
+    /// Number of slots in the ring: a power of two at least as large as
+    /// the tracked window, which `retire_before` keeps from growing.
+    pub fn ring_len(&self) -> usize {
+        self.used.len()
     }
 
     /// First cycle a probe at `earliest` examines: never below `base`, and
@@ -283,8 +283,10 @@ mod tests {
         p.reserve(1);
         p.reserve(2);
         p.retire_before(100);
-        assert_eq!(p.tracked_cycles(), 0);
         assert_eq!(p.reserve(5), 100);
+        // The window restarts at the horizon, so cycle 100 fits the
+        // initial ring instead of growing it past cycle 0.
+        assert_eq!(p.ring_len(), INITIAL_RING);
     }
 
     #[test]
@@ -293,13 +295,16 @@ mod tests {
         p.reserve(5);
         p.reserve(50);
         p.retire_before(10);
-        assert_eq!(p.tracked_cycles(), 1);
         assert_eq!(p.free_at(50), 0);
         assert_eq!(p.free_at(5), 0, "pruned cycles are never grantable");
         assert_eq!(p.reserve(50), 51);
         // A lower horizon is a no-op.
         p.retire_before(3);
         assert_eq!(p.reserve(0), 10);
+        // Without the retirement, cycle `INITIAL_RING + 9` would lie past
+        // the initial ring; from base 10 it still fits.
+        p.reserve(INITIAL_RING as u64 + 9);
+        assert_eq!(p.ring_len(), INITIAL_RING);
     }
 
     #[test]

@@ -170,6 +170,10 @@ impl<B: BlockSource> TraceSource for BlockTrace<B> {
         self.wrong_path.run(pc, max)
     }
 
+    fn wrong_path_skip(&mut self, n: u64) {
+        self.wrong_path.skip(n);
+    }
+
     fn name(&self) -> &str {
         self.source.label()
     }
