@@ -46,6 +46,13 @@ const STORE_COMMIT_LOG: usize = 8192;
 /// would forward from (it must wait for the store to reach the cache).
 const PARTIAL_OVERLAP_PENALTY: u64 = 30;
 
+/// The port schedules are pruned each time the last commit cycle has
+/// advanced this many cycles since the previous prune.
+const PRUNE_EVERY_CYCLES: u64 = 4096;
+
+/// How far behind the last commit cycle the pruning horizon trails.
+const PRUNE_TRAIL_CYCLES: u64 = 2 + 10_000;
+
 /// The processor model.
 #[derive(Debug, Clone)]
 pub struct Processor {
@@ -79,6 +86,8 @@ struct RunState {
     store_commit_log: VecDeque<(u64, u64)>,
     fetch_blocked_until: u64,
     last_commit_cycle: u64,
+    /// `last_commit_cycle` at the last prune of the port schedules.
+    pruned_at: u64,
     cp_leave_prev: u64,
     migration_blocked_until: u64,
     open_epoch: Option<OpenEpoch>,
@@ -223,14 +232,17 @@ impl Processor {
             if inst.is_mispredicted_branch() {
                 self.run_wrong_path(st, workload, timing.complete);
             }
-            // Periodically prune schedules so memory stays bounded.
-            if st.seq % 4096 == 0 {
-                let horizon = st.last_commit_cycle.saturating_sub(2);
-                st.fetch_ports.retire_before(horizon.saturating_sub(10_000));
-                st.issue_ports.retire_before(horizon.saturating_sub(10_000));
-                st.commit_ports
-                    .retire_before(horizon.saturating_sub(10_000));
-                st.cache_ports.retire_before(horizon.saturating_sub(10_000));
+            // Prune on commit cycles: at a low IPC a few thousand
+            // instructions span hundreds of thousands of cycles. A cycle
+            // trigger cannot be stepped over, so each ring spans only the
+            // trailing window plus what is reserved past the last commit.
+            if st.last_commit_cycle - st.pruned_at >= PRUNE_EVERY_CYCLES {
+                st.pruned_at = st.last_commit_cycle;
+                let horizon = st.last_commit_cycle.saturating_sub(PRUNE_TRAIL_CYCLES);
+                st.fetch_ports.retire_before(horizon);
+                st.issue_ports.retire_before(horizon);
+                st.commit_ports.retire_before(horizon);
+                st.cache_ports.retire_before(horizon);
             }
         }
         st.result.sim.committed - start
@@ -259,6 +271,7 @@ impl Processor {
             store_commit_log: VecDeque::with_capacity(STORE_COMMIT_LOG),
             fetch_blocked_until: 0,
             last_commit_cycle: 0,
+            pruned_at: 0,
             cp_leave_prev: 0,
             migration_blocked_until: 0,
             open_epoch: None,
@@ -924,6 +937,7 @@ mod tests {
     use elsq_isa::trace::LoopTrace;
     use elsq_isa::{ArchReg, InstBuilder, OpClass};
     use elsq_workload::pointer::PointerChaseInt;
+    use elsq_workload::stencil::IrregularFp;
     use elsq_workload::streaming::StreamingFp;
 
     fn run(config: CpuConfig, workload: &mut dyn TraceSource, commits: u64) -> SimResult {
@@ -1066,6 +1080,35 @@ mod tests {
         };
         let r = run(cfg, &mut t, 20_000);
         assert!(r.ipc() > 0.0);
+    }
+
+    #[test]
+    fn port_schedule_rings_stay_bounded_at_low_ipc() {
+        // At an IPC near 0.01 one 4096-instruction stretch spans hundreds
+        // of thousands of cycles; pruning on commit cycles still keeps
+        // every ring near the trailing window.
+        let workloads: [Box<dyn TraceSource>; 2] = [
+            Box::new(PointerChaseInt::mcf_like(7)),
+            Box::new(IrregularFp::equake_like(7)),
+        ];
+        for mut workload in workloads {
+            let mut processor = Processor::new(CpuConfig::fmc_hash(true));
+            let mut st = processor.init_state(workload.name());
+            processor.run_window(&mut st, &mut *workload, 60_000);
+            for (name, ports) in [
+                ("fetch", &st.fetch_ports),
+                ("issue", &st.issue_ports),
+                ("commit", &st.commit_ports),
+                ("cache", &st.cache_ports),
+            ] {
+                assert!(
+                    ports.ring_len() <= 1 << 15,
+                    "{}: {name} ring grew to {} slots",
+                    workload.name(),
+                    ports.ring_len()
+                );
+            }
+        }
     }
 
     #[test]
