@@ -15,7 +15,9 @@
 //!
 //! When an epoch commits or is squashed its column is cleared in one step —
 //! the property the paper contrasts with the Hierarchical Store Queue's
-//! per-store counter decrements.
+//! per-store counter decrements. The model keeps, per bank, the list of
+//! indices at which the bank holds a bit, so a clear costs the epoch's own
+//! entries rather than the whole table.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -117,6 +119,9 @@ pub struct ErtStats {
 pub struct Ert {
     table: Table,
     num_banks: usize,
+    /// Per bank, every index (hash index or line key) at which the bank's
+    /// load or store bit is set, each once.
+    touched: Vec<Vec<u64>>,
     stats: ErtStats,
 }
 
@@ -149,6 +154,7 @@ impl Ert {
         Self {
             table,
             num_banks,
+            touched: vec![Vec::new(); num_banks],
             stats: ErtStats::default(),
         }
     }
@@ -184,11 +190,7 @@ impl Ert {
     pub fn set_store(&mut self, addr: u64, bank: usize) {
         assert!(bank < self.num_banks);
         self.stats.store_inserts += 1;
-        let idx = self.index_of(addr);
-        match &mut self.table {
-            Table::Hash { stores, .. } => stores[idx as usize].set(bank),
-            Table::Line { entries, .. } => entries.entry(idx).or_default().1.set(bank),
-        }
+        self.set(addr, bank, true);
     }
 
     /// Records that epoch `bank` holds a *load* with address `addr`.
@@ -199,10 +201,30 @@ impl Ert {
     pub fn set_load(&mut self, addr: u64, bank: usize) {
         assert!(bank < self.num_banks);
         self.stats.load_inserts += 1;
+        self.set(addr, bank, false);
+    }
+
+    /// Sets `bank` in the store or load mask at `addr`'s index, recording
+    /// the index on the bank's `touched` list the first time either mask
+    /// there gains the bank.
+    fn set(&mut self, addr: u64, bank: usize, store: bool) {
         let idx = self.index_of(addr);
-        match &mut self.table {
-            Table::Hash { loads, .. } => loads[idx as usize].set(bank),
-            Table::Line { entries, .. } => entries.entry(idx).or_default().0.set(bank),
+        let (loads, stores) = match &mut self.table {
+            Table::Hash { loads, stores, .. } => {
+                (&mut loads[idx as usize], &mut stores[idx as usize])
+            }
+            Table::Line { entries, .. } => {
+                let (loads, stores) = entries.entry(idx).or_default();
+                (loads, stores)
+            }
+        };
+        if !loads.contains(bank) && !stores.contains(bank) {
+            self.touched[bank].push(idx);
+        }
+        if store {
+            stores.set(bank);
+        } else {
+            loads.set(bank);
         }
     }
 
@@ -228,20 +250,35 @@ impl Ert {
     /// commits or is squashed. Line-based entries whose vectors become empty
     /// are dropped (their L1 lines are implicitly unlockable; the coordinator
     /// performs the actual unlocking).
+    ///
+    /// Only the indices on the bank's `touched` list are visited: every bit
+    /// of `bank` was set by [`Ert::set_load`] or [`Ert::set_store`], which
+    /// recorded its index there, so the result is that of a scan of the
+    /// whole column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is outside the configured number of banks.
     pub fn clear_epoch(&mut self, bank: usize) {
         self.stats.epoch_clears += 1;
+        let touched = &mut self.touched[bank];
         match &mut self.table {
             Table::Hash { loads, stores, .. } => {
-                for m in loads.iter_mut().chain(stores.iter_mut()) {
-                    m.clear(bank);
+                for idx in touched.drain(..) {
+                    loads[idx as usize].clear(bank);
+                    stores[idx as usize].clear(bank);
                 }
             }
             Table::Line { entries, .. } => {
-                entries.retain(|_, (l, s)| {
-                    l.clear(bank);
-                    s.clear(bank);
-                    !(l.is_empty() && s.is_empty())
-                });
+                for key in touched.drain(..) {
+                    if let Some((l, s)) = entries.get_mut(&key) {
+                        l.clear(bank);
+                        s.clear(bank);
+                        if l.is_empty() && s.is_empty() {
+                            entries.remove(&key);
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,12 +1,13 @@
 //! Age-ordered associative memory-operation queues.
 //!
 //! [`AgeQueue`] is the building block shared by every queue in the design:
-//! the high-locality LQ/SQ, each epoch's LQ/SQ, the Store Queue Mirror and
-//! the conventional central LSQ baselines. Entries are kept in program order
-//! (by sequence number); the two searches a load/store queue must support —
-//! *youngest older matching store* for forwarding and *any younger issued
-//! matching load* for violation detection — are provided as methods so every
-//! model counts and behaves identically.
+//! the high-locality LQ/SQ, each epoch's LQ/SQ and the conventional central
+//! LSQ baselines (the Store Queue Mirror shares its index, `Chains`).
+//! Entries are kept in program order (by sequence number); the two searches
+//! a load/store queue must support — *youngest older matching store* for
+//! forwarding and *any younger issued matching load* for violation
+//! detection — are provided as methods so every model counts and behaves
+//! identically.
 //!
 //! # Representation
 //!
@@ -15,35 +16,37 @@
 //! and list links live in parallel vectors indexed by slot, so the search
 //! loops scan densely packed [`MemEntry`] values while squash — the
 //! wrong-path hot path, which detaches a run of tail slots — rewrites only
-//! the compact link records. Three auxiliary indices turn the former linear
-//! scans into near-constant-time lookups (the searches themselves are the
-//! simulator's hottest operations — see `docs/PERFORMANCE.md`):
+//! the compact link records. Two indices turn the former linear scans into
+//! near-constant-time lookups (see `docs/PERFORMANCE.md`):
 //!
-//! * a **sequence index** (`seq -> slot`) making [`AgeQueue::get`],
+//! * **intrusive hash chains** (`Chains`) threaded through the slots: a
+//!   sequence chain per `seq & mask` makes [`AgeQueue::get`],
 //!   [`AgeQueue::set_address`], [`AgeQueue::set_issued`] and
-//!   [`AgeQueue::remove`] O(1);
-//! * **address buckets** keyed by 64-byte line mapping each line to the
-//!   slots whose known address touches it, so the forwarding and violation
-//!   searches only examine same-line entries instead of the whole queue;
+//!   [`AgeQueue::remove`] O(1), and a chain per hashed 64-byte line holds
+//!   every slot whose known address touches a line of that chain, so the
+//!   forwarding and violation searches examine a few candidates instead of
+//!   the whole queue. A bounded queue sizes its heads for twice its
+//!   capacity; an unbounded one (the ideal central LSQ) starts at 64 heads
+//!   and re-threads into four times as many whenever it passes one entry
+//!   per two heads;
 //! * an **unknown-address deque** of the sequence numbers whose address is
 //!   still pending, kept ascending (entries arrive in program order, so it
 //!   grows only at the back; commit and squash pop its ends): the
 //!   `has_older_unknown_address` predicate reads its front and
 //!   `has_unknown_address_between` is one binary search.
 //!
-//! Freed slots (commit, remove, squash, clear) return to a free list and
-//! emptied bucket vectors return to a pool, so a steady-state simulation
-//! performs no queue allocation at all. Every query returns exactly what the
-//! original linear scans returned; `crates/core/tests/proptests.rs` pins the
-//! equivalence against a naive reference model over random op sequences.
+//! Freed slots (commit, remove, squash, clear) return to a free list, and
+//! linking or unlinking a slot writes a few `u32`s, so a steady-state
+//! simulation performs no queue allocation or hashing through a map. Every
+//! query returns exactly what the original linear scans returned;
+//! `crates/core/tests/proptests.rs` pins the equivalence against a naive
+//! reference model over random op sequences.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 use elsq_isa::MemAccess;
-
-use crate::fxhash::FxHashMap;
 
 /// Whether a memory operation is a load or a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -124,77 +127,234 @@ pub struct ForwardHit {
     pub data_ready_at: u64,
 }
 
-/// Granularity of the address buckets. One 64-byte line covers any 1–8 byte
-/// access with at most two buckets (when the access straddles a boundary).
+/// Granularity of the line index. Any 1–8 byte access touches at most two
+/// 64-byte lines (two when it straddles a boundary).
 const INDEX_LINE_SHIFT: u32 = 6;
 
 /// The two index lines an access can touch: `(first, last)`; equal when the
-/// access sits inside one line. Shared with the Store Queue Mirror's index.
+/// access sits inside one line.
 #[inline]
-pub(crate) fn index_lines(access: &MemAccess) -> (u64, u64) {
+fn index_lines(access: &MemAccess) -> (u64, u64) {
     let first = access.start() >> INDEX_LINE_SHIFT;
     let last = (access.end() - 1) >> INDEX_LINE_SHIFT;
     (first, last)
 }
 
-/// Address buckets keyed by 64-byte index line: each line maps to the
-/// items (slot indices, sequence numbers, ...) whose access touches it.
-/// Shared by [`AgeQueue`] and the Store Queue Mirror so the line-walk,
-/// duplicate-free removal and vector-recycling logic exist once.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LineBuckets<T> {
-    buckets: FxHashMap<u64, Vec<T>>,
-    /// Recycled bucket vectors (so steady state never reallocates).
-    pool: Vec<Vec<T>>,
-}
-
-impl<T: Copy + Eq> LineBuckets<T> {
-    /// Registers `item` under every index line `access` touches.
-    pub(crate) fn insert(&mut self, access: &MemAccess, item: T) {
-        let (first, last) = index_lines(access);
-        let mut line = first;
-        loop {
-            self.buckets
-                .entry(line)
-                .or_insert_with(|| self.pool.pop().unwrap_or_default())
-                .push(item);
-            if line == last {
-                break;
-            }
-            line += 1;
-        }
-    }
-
-    /// Removes `item` from the buckets of every line `access` touches,
-    /// recycling any bucket that empties.
-    pub(crate) fn remove(&mut self, access: &MemAccess, item: T) {
-        let (first, last) = index_lines(access);
-        let mut line = first;
-        loop {
-            if let Some(bucket) = self.buckets.get_mut(&line) {
-                if let Some(pos) = bucket.iter().position(|&s| s == item) {
-                    bucket.swap_remove(pos);
-                }
-                if bucket.is_empty() {
-                    let recycled = self.buckets.remove(&line).expect("bucket exists");
-                    self.pool.push(recycled);
-                }
-            }
-            if line == last {
-                break;
-            }
-            line += 1;
-        }
-    }
-
-    /// The items registered under `line`, if any.
-    pub(crate) fn get(&self, line: u64) -> Option<&[T]> {
-        self.buckets.get(&line).map(Vec::as_slice)
-    }
-}
-
-/// Sentinel slot index for the linked-list endpoints.
+/// Sentinel slot index for list endpoints, empty chain heads and chain ends.
 const NIL: u32 = u32::MAX;
+
+/// Multiplier of the Fibonacci hash that spreads index lines over the line
+/// chain heads.
+const LINE_HASH: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Fewest chain heads an index starts with.
+const MIN_HEADS: usize = 16;
+
+/// Heads an unbounded index starts with before it re-threads.
+const UNBOUNDED_HEADS: usize = 64;
+
+/// Most heads a bounded index is sized for up front; a larger capacity
+/// starts here and re-threads like an unbounded one as it fills.
+const MAX_INITIAL_HEADS: usize = 1 << 16;
+
+/// Intrusive hash chains threaded through slab slots: the sequence index
+/// and the 64-byte-line address index shared by [`AgeQueue`] and the Store
+/// Queue Mirror. Linking or unlinking an entry writes a few `u32`s; only a
+/// re-thread allocates.
+///
+/// * **Sequence chains.** `seq_heads[seq & mask]` heads a chain of slots
+///   continued by `seq_next[slot]`.
+/// * **Line chains.** `line_heads[(line * LINE_HASH) >> shift]` heads a
+///   chain of nodes continued by `line_next[node]`. Node `2 * slot` stands
+///   for the first index line of the slot's access, and node `2 * slot + 1`
+///   for its second line when the access straddles a line boundary.
+///
+/// A chain may mix sequence numbers or lines that share a head, so every
+/// walk filters what it finds: a point lookup compares the sequence number,
+/// and a search applies its exact overlap test. Any entry that overlaps an
+/// access touches one of the access's lines and so sits on that line's
+/// chain. The owner keeps the load at most one entry per two heads (see
+/// [`Chains::needs_rethread`]), which keeps chains short.
+#[derive(Debug, Clone)]
+pub(crate) struct Chains {
+    seq_heads: Vec<u32>,
+    seq_next: Vec<u32>,
+    line_heads: Vec<u32>,
+    line_next: Vec<u32>,
+    /// `64 - log2(line_heads.len())`.
+    shift: u32,
+}
+
+impl Chains {
+    /// An index for a queue of at most `capacity` entries, or for an
+    /// unbounded one that starts small and re-threads as it grows.
+    pub(crate) fn for_capacity(capacity: Option<usize>) -> Self {
+        let heads = match capacity {
+            Some(capacity) => capacity
+                .saturating_mul(2)
+                .min(MAX_INITIAL_HEADS)
+                .next_power_of_two()
+                .max(MIN_HEADS),
+            None => UNBOUNDED_HEADS,
+        };
+        let mut chains = Self {
+            seq_heads: Vec::new(),
+            seq_next: Vec::new(),
+            line_heads: Vec::new(),
+            line_next: Vec::new(),
+            shift: 0,
+        };
+        chains.reset(heads);
+        chains
+    }
+
+    /// Empties every chain and resizes the heads to `heads` (a power of
+    /// two). The owner then re-links its live entries.
+    fn reset(&mut self, heads: usize) {
+        debug_assert!(heads.is_power_of_two());
+        self.seq_heads.clear();
+        self.seq_heads.resize(heads, NIL);
+        self.line_heads.clear();
+        self.line_heads.resize(heads, NIL);
+        self.shift = 64 - heads.trailing_zeros();
+    }
+
+    /// Whether an index holding `len` entries must re-thread before it
+    /// takes one more: the load would pass one entry per two heads.
+    #[inline]
+    pub(crate) fn needs_rethread(&self, len: usize) -> bool {
+        2 * (len + 1) > self.seq_heads.len()
+    }
+
+    /// Empties the index into four times as many heads; the owner then
+    /// re-links every live entry with [`Chains::link_seq`] and
+    /// [`Chains::link_lines`].
+    pub(crate) fn grow(&mut self) {
+        self.reset(self.seq_heads.len() * 4);
+    }
+
+    /// Extends the per-slot links to cover a slab of `slots` slots.
+    #[inline]
+    pub(crate) fn cover_slots(&mut self, slots: usize) {
+        if self.seq_next.len() < slots {
+            self.seq_next.resize(slots, NIL);
+            self.line_next.resize(2 * slots, NIL);
+        }
+    }
+
+    #[inline]
+    fn seq_bucket(&self, seq: u64) -> usize {
+        seq as usize & (self.seq_heads.len() - 1)
+    }
+
+    #[inline]
+    fn line_bucket(&self, line: u64) -> usize {
+        (line.wrapping_mul(LINE_HASH) >> self.shift) as usize
+    }
+
+    /// Links `slot`, holding `seq`, at the head of its sequence chain.
+    #[inline]
+    pub(crate) fn link_seq(&mut self, slot: u32, seq: u64) {
+        let bucket = self.seq_bucket(seq);
+        self.seq_next[slot as usize] = self.seq_heads[bucket];
+        self.seq_heads[bucket] = slot;
+    }
+
+    /// Unlinks `slot`, holding `seq`, from its sequence chain.
+    #[inline]
+    pub(crate) fn unlink_seq(&mut self, slot: u32, seq: u64) {
+        let bucket = self.seq_bucket(seq);
+        unlink(&mut self.seq_heads, &mut self.seq_next, bucket, slot);
+    }
+
+    /// The slot holding `seq`, where `seq_of` reads a slot's sequence
+    /// number.
+    #[inline]
+    pub(crate) fn find_seq(&self, seq: u64, seq_of: impl Fn(u32) -> u64) -> Option<u32> {
+        let mut slot = self.seq_heads[self.seq_bucket(seq)];
+        while slot != NIL {
+            if seq_of(slot) == seq {
+                return Some(slot);
+            }
+            slot = self.seq_next[slot as usize];
+        }
+        None
+    }
+
+    /// Links `slot` onto the chain of every index line `access` touches.
+    #[inline]
+    pub(crate) fn link_lines(&mut self, slot: u32, access: &MemAccess) {
+        let (first, last) = index_lines(access);
+        self.link_node(2 * slot, first);
+        if last != first {
+            self.link_node(2 * slot + 1, last);
+        }
+    }
+
+    /// Unlinks `slot` from the chain of every index line `access` touches.
+    #[inline]
+    pub(crate) fn unlink_lines(&mut self, slot: u32, access: &MemAccess) {
+        let (first, last) = index_lines(access);
+        let bucket = self.line_bucket(first);
+        unlink(&mut self.line_heads, &mut self.line_next, bucket, 2 * slot);
+        if last != first {
+            let bucket = self.line_bucket(last);
+            unlink(
+                &mut self.line_heads,
+                &mut self.line_next,
+                bucket,
+                2 * slot + 1,
+            );
+        }
+    }
+
+    #[inline]
+    fn link_node(&mut self, node: u32, line: u64) {
+        let bucket = self.line_bucket(line);
+        self.line_next[node as usize] = self.line_heads[bucket];
+        self.line_heads[bucket] = node;
+    }
+
+    /// Calls `visit` with every slot on the chain of each index line
+    /// `access` touches: a superset of the entries that overlap it, in no
+    /// particular order and possibly with repeats.
+    #[inline]
+    pub(crate) fn for_each_candidate(&self, access: &MemAccess, mut visit: impl FnMut(u32)) {
+        let (first, last) = index_lines(access);
+        let mut line = first;
+        loop {
+            let mut node = self.line_heads[self.line_bucket(line)];
+            while node != NIL {
+                visit(node >> 1);
+                node = self.line_next[node as usize];
+            }
+            if line == last {
+                break;
+            }
+            line += 1;
+        }
+    }
+}
+
+/// Removes `node` from the singly linked chain headed at `heads[bucket]`,
+/// walking from the head.
+#[inline]
+fn unlink(heads: &mut [u32], next: &mut [u32], bucket: usize, node: u32) {
+    let mut at = heads[bucket];
+    if at == node {
+        heads[bucket] = next[node as usize];
+        return;
+    }
+    while at != NIL {
+        let after = next[at as usize];
+        if after == node {
+            next[at as usize] = next[node as usize];
+            return;
+        }
+        at = after;
+    }
+    debug_assert!(false, "node {node} is not on chain {bucket}");
+}
 
 /// Program-order list links for one slab slot. Kept in an array parallel to
 /// the entry payloads: the forwarding/violation searches walk only entries
@@ -221,10 +381,8 @@ pub struct AgeQueue {
     tail: u32,
     len: usize,
     capacity: Option<usize>,
-    /// `seq -> slot` for O(1) point operations.
-    index: FxHashMap<u64, u32>,
-    /// `index line -> slots with a known address touching the line`.
-    buckets: LineBuckets<u32>,
+    /// Sequence and address-line chains over the slots.
+    chains: Chains,
     /// Sequence numbers whose address is still unknown, ascending. Entries
     /// arrive in program order, so it only grows at the back.
     unknown: VecDeque<u64>,
@@ -242,8 +400,7 @@ impl AgeQueue {
             tail: NIL,
             len: 0,
             capacity: Some(capacity),
-            index: FxHashMap::default(),
-            buckets: LineBuckets::default(),
+            chains: Chains::for_capacity(Some(capacity)),
             unknown: VecDeque::new(),
         }
     }
@@ -258,8 +415,7 @@ impl AgeQueue {
             tail: NIL,
             len: 0,
             capacity: None,
-            index: FxHashMap::default(),
-            buckets: LineBuckets::default(),
+            chains: Chains::for_capacity(None),
             unknown: VecDeque::new(),
         }
     }
@@ -310,6 +466,7 @@ impl AgeQueue {
                 let slot = self.entries.len() as u32;
                 self.entries.push(entry);
                 self.links.push(link);
+                self.chains.cover_slots(self.entries.len());
                 slot
             }
         };
@@ -338,14 +495,36 @@ impl AgeQueue {
         } else {
             self.links[next as usize].prev = prev;
         }
-        self.index.remove(&entry.seq);
+        self.chains.unlink_seq(slot, entry.seq);
         match entry.addr {
-            Some(access) => self.buckets.remove(&access, slot),
+            Some(access) => self.chains.unlink_lines(slot, &access),
             None => self.forget_unknown(entry.seq),
         }
         self.free.push(slot);
         self.len -= 1;
         entry
+    }
+
+    /// The slot holding `seq`, if it is live.
+    #[inline]
+    fn slot_of(&self, seq: u64) -> Option<u32> {
+        self.chains
+            .find_seq(seq, |slot| self.entries[slot as usize].seq)
+    }
+
+    /// Re-threads every live entry, unknown addresses included, into an
+    /// index with four times as many heads.
+    fn rethread(&mut self) {
+        self.chains.grow();
+        let mut slot = self.head;
+        while slot != NIL {
+            let entry = self.entries[slot as usize];
+            self.chains.link_seq(slot, entry.seq);
+            if let Some(access) = entry.addr {
+                self.chains.link_lines(slot, &access);
+            }
+            slot = self.links[slot as usize].next;
+        }
     }
 
     /// Drops `seq` from the unknown-address set. Commit removes the oldest
@@ -399,10 +578,13 @@ impl AgeQueue {
                 last_seq
             );
         }
+        if self.chains.needs_rethread(self.len) {
+            self.rethread();
+        }
         let slot = self.link_tail(entry);
-        self.index.insert(entry.seq, slot);
+        self.chains.link_seq(slot, entry.seq);
         match entry.addr {
-            Some(access) => self.buckets.insert(&access, slot),
+            Some(access) => self.chains.link_lines(slot, &access),
             None => self.unknown.push_back(entry.seq),
         }
         Ok(())
@@ -410,31 +592,29 @@ impl AgeQueue {
 
     /// Looks up an entry by sequence number.
     pub fn get(&self, seq: u64) -> Option<&MemEntry> {
-        self.index
-            .get(&seq)
-            .map(|&slot| &self.entries[slot as usize])
+        self.slot_of(seq).map(|slot| &self.entries[slot as usize])
     }
 
     /// Records the effective address of entry `seq`. Returns `false` if the
     /// entry is not present (e.g. already squashed).
     pub fn set_address(&mut self, seq: u64, addr: MemAccess) -> bool {
-        let Some(&slot) = self.index.get(&seq) else {
+        let Some(slot) = self.slot_of(seq) else {
             return false;
         };
         let previous = self.entries[slot as usize].addr;
         match previous {
-            Some(old) => self.buckets.remove(&old, slot),
+            Some(old) => self.chains.unlink_lines(slot, &old),
             None => self.forget_unknown(seq),
         }
         self.entries[slot as usize].addr = Some(addr);
-        self.buckets.insert(&addr, slot);
+        self.chains.link_lines(slot, &addr);
         true
     }
 
     /// Marks entry `seq` as issued / data-ready at `cycle`.
     pub fn set_issued(&mut self, seq: u64, cycle: u64) -> bool {
-        match self.index.get(&seq) {
-            Some(&slot) => {
+        match self.slot_of(seq) {
+            Some(slot) => {
                 let entry = &mut self.entries[slot as usize];
                 entry.issued = true;
                 entry.ready_at = cycle;
@@ -459,7 +639,7 @@ impl AgeQueue {
     /// (used by the Store Queue Mirror when an epoch commits out of lockstep
     /// with the mirror's own ordering).
     pub fn remove(&mut self, seq: u64) -> Option<MemEntry> {
-        self.index.get(&seq).copied().map(|slot| self.detach(slot))
+        self.slot_of(seq).map(|slot| self.detach(slot))
     }
 
     /// Removes every entry with `seq >= from_seq` (squash) and returns how
@@ -498,25 +678,15 @@ impl AgeQueue {
     /// load's sequence number.
     pub fn find_forwarding_store(&self, load_seq: u64, access: &MemAccess) -> Option<ForwardHit> {
         let mut best: Option<&MemEntry> = None;
-        let (first, last) = index_lines(access);
-        let mut line = first;
-        loop {
-            if let Some(bucket) = self.buckets.get(line) {
-                for &slot in bucket {
-                    let entry = &self.entries[slot as usize];
-                    if entry.seq < load_seq
-                        && entry.overlaps(access)
-                        && best.map(|b| entry.seq > b.seq).unwrap_or(true)
-                    {
-                        best = Some(entry);
-                    }
-                }
+        self.chains.for_each_candidate(access, |slot| {
+            let entry = &self.entries[slot as usize];
+            if entry.seq < load_seq
+                && entry.overlaps(access)
+                && best.map(|b| entry.seq > b.seq).unwrap_or(true)
+            {
+                best = Some(entry);
             }
-            if line == last {
-                break;
-            }
-            line += 1;
-        }
+        });
         best.map(|e| ForwardHit {
             store_seq: e.seq,
             full_cover: e.addr.map(|a| access.covered_by(&a)).unwrap_or(false),
@@ -555,26 +725,16 @@ impl AgeQueue {
     /// store's sequence number.
     pub fn find_violating_load(&self, store_seq: u64, access: &MemAccess) -> Option<u64> {
         let mut best: Option<u64> = None;
-        let (first, last) = index_lines(access);
-        let mut line = first;
-        loop {
-            if let Some(bucket) = self.buckets.get(line) {
-                for &slot in bucket {
-                    let entry = &self.entries[slot as usize];
-                    if entry.seq > store_seq
-                        && entry.issued
-                        && entry.overlaps(access)
-                        && best.map(|b| entry.seq < b).unwrap_or(true)
-                    {
-                        best = Some(entry.seq);
-                    }
-                }
+        self.chains.for_each_candidate(access, |slot| {
+            let entry = &self.entries[slot as usize];
+            if entry.seq > store_seq
+                && entry.issued
+                && entry.overlaps(access)
+                && best.map(|b| entry.seq < b).unwrap_or(true)
+            {
+                best = Some(entry.seq);
             }
-            if line == last {
-                break;
-            }
-            line += 1;
-        }
+        });
         best
     }
 

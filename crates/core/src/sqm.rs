@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use elsq_isa::MemAccess;
 
-use crate::queue::{index_lines, LineBuckets};
+use crate::queue::Chains;
 
 /// One mirrored store entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,21 +38,38 @@ pub struct MirrorHit {
     pub full_cover: bool,
 }
 
-/// The Store Queue Mirror: an age-ordered replica of every low-locality store
-/// whose address is known.
+/// The Store Queue Mirror: a replica of every low-locality store whose
+/// address is known.
 ///
-/// Entries live in a seq-sorted vector (the mirror is small — at most the
-/// sum of the epoch store-queue capacities); the forwarding search is served
-/// by the same 64-byte-line address buckets as
-/// [`AgeQueue`](crate::queue::AgeQueue), so it examines only same-line
-/// candidates instead of scanning the whole mirror. The buckets hold
-/// sequence numbers (not positions — positions shift on insert/remove) and
-/// are rebuilt incrementally by every mutation.
-#[derive(Debug, Clone, Default)]
+/// Entries live in a slab (slots with live flags and a free list) indexed
+/// by the same intrusive `Chains` as [`AgeQueue`](crate::queue::AgeQueue):
+/// `upsert` and `set_data_ready` find a store through its sequence chain,
+/// and the forwarding search walks the chains of the access's 64-byte
+/// lines instead of scanning the mirror. Nothing keeps the slab in program
+/// order: the search takes a maximum over unique sequence numbers, and
+/// [`StoreQueueMirror::iter`] sorts.
+#[derive(Debug, Clone)]
 pub struct StoreQueueMirror {
+    /// Entry payloads, indexed by slot (parallel to `live`).
     entries: Vec<MirrorEntry>,
-    /// `index line -> seqs of mirrored stores touching the line`.
-    buckets: LineBuckets<u64>,
+    /// Whether each slot holds a mirrored store.
+    live: Vec<bool>,
+    free: Vec<u32>,
+    len: usize,
+    /// Sequence and address-line chains over the live slots.
+    chains: Chains,
+}
+
+impl Default for StoreQueueMirror {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+            live: Vec::new(),
+            free: Vec::new(),
+            len: 0,
+            chains: Chains::for_capacity(None),
+        }
+    }
 }
 
 impl StoreQueueMirror {
@@ -63,12 +80,19 @@ impl StoreQueueMirror {
 
     /// Number of mirrored stores.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the mirror is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// The slot holding store `seq`, if it is mirrored.
+    #[inline]
+    fn slot_of(&self, seq: u64) -> Option<u32> {
+        self.chains
+            .find_seq(seq, |slot| self.entries[slot as usize].seq)
     }
 
     /// Inserts (or updates) the mirrored copy of a store whose address just
@@ -81,81 +105,84 @@ impl StoreQueueMirror {
         data_ready: bool,
         ready_at: u64,
     ) {
-        match self.entries.binary_search_by_key(&seq, |e| e.seq) {
-            Ok(i) => {
-                let old_addr = self.entries[i].addr;
-                self.entries[i].addr = addr;
-                self.entries[i].bank = bank;
-                self.entries[i].data_ready = data_ready;
-                self.entries[i].ready_at = ready_at;
-                if old_addr != addr {
-                    self.buckets.remove(&old_addr, seq);
-                    self.buckets.insert(&addr, seq);
-                }
+        let entry = MirrorEntry {
+            seq,
+            addr,
+            bank,
+            data_ready,
+            ready_at,
+        };
+        if let Some(slot) = self.slot_of(seq) {
+            let old_addr = self.entries[slot as usize].addr;
+            self.entries[slot as usize] = entry;
+            if old_addr != addr {
+                self.chains.unlink_lines(slot, &old_addr);
+                self.chains.link_lines(slot, &addr);
             }
-            Err(i) => {
-                self.entries.insert(
-                    i,
-                    MirrorEntry {
-                        seq,
-                        addr,
-                        bank,
-                        data_ready,
-                        ready_at,
-                    },
-                );
-                self.buckets.insert(&addr, seq);
+            return;
+        }
+        if self.chains.needs_rethread(self.len) {
+            self.rethread();
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = entry;
+                self.live[slot as usize] = true;
+                slot
+            }
+            None => {
+                self.entries.push(entry);
+                self.live.push(true);
+                self.chains.cover_slots(self.entries.len());
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.chains.link_seq(slot, seq);
+        self.chains.link_lines(slot, &addr);
+        self.len += 1;
+    }
+
+    /// Re-threads every mirrored store into an index with four times as
+    /// many heads.
+    fn rethread(&mut self) {
+        self.chains.grow();
+        for (slot, entry) in self.entries.iter().enumerate() {
+            if self.live[slot] {
+                self.chains.link_seq(slot as u32, entry.seq);
+                self.chains.link_lines(slot as u32, &entry.addr);
             }
         }
     }
 
     /// Marks the mirrored store `seq` as having its data ready.
     pub fn set_data_ready(&mut self, seq: u64, cycle: u64) -> bool {
-        match self.entries.binary_search_by_key(&seq, |e| e.seq) {
-            Ok(i) => {
-                self.entries[i].data_ready = true;
-                self.entries[i].ready_at = cycle;
+        match self.slot_of(seq) {
+            Some(slot) => {
+                let entry = &mut self.entries[slot as usize];
+                entry.data_ready = true;
+                entry.ready_at = cycle;
                 true
             }
-            Err(_) => false,
+            None => false,
         }
     }
 
     /// Forwarding search: youngest mirrored store older than `load_seq` whose
     /// address overlaps `access`.
     pub fn search(&self, load_seq: u64, access: &MemAccess) -> Option<MirrorHit> {
-        let mut best: Option<u64> = None;
-        let (first, last) = index_lines(access);
-        let mut line = first;
-        loop {
-            if let Some(bucket) = self.buckets.get(line) {
-                for &seq in bucket {
-                    if seq < load_seq && best.map(|b| seq > b).unwrap_or(true) {
-                        let i = self
-                            .entries
-                            .binary_search_by_key(&seq, |e| e.seq)
-                            .expect("bucket seqs are live");
-                        if self.entries[i].addr.overlaps(access) {
-                            best = Some(seq);
-                        }
-                    }
-                }
+        let mut best: Option<&MirrorEntry> = None;
+        self.chains.for_each_candidate(access, |slot| {
+            let entry = &self.entries[slot as usize];
+            if entry.seq < load_seq
+                && best.map(|b| entry.seq > b.seq).unwrap_or(true)
+                && entry.addr.overlaps(access)
+            {
+                best = Some(entry);
             }
-            if line == last {
-                break;
-            }
-            line += 1;
-        }
-        best.map(|seq| {
-            let i = self
-                .entries
-                .binary_search_by_key(&seq, |e| e.seq)
-                .expect("best seq is live");
-            let entry = self.entries[i];
-            MirrorHit {
-                entry,
-                full_cover: access.covered_by(&entry.addr),
-            }
+        });
+        best.map(|&entry| MirrorHit {
+            entry,
+            full_cover: access.covered_by(&entry.addr),
         })
     }
 
@@ -171,37 +198,48 @@ impl StoreQueueMirror {
         self.remove_where(|e| e.seq >= from_seq)
     }
 
-    /// Removes every entry matching `predicate`, keeping the buckets in
-    /// sync. Returns how many entries were dropped. Single in-place
-    /// compaction pass (`Vec::remove` in a loop would be quadratic on the
-    /// epoch-teardown path this serves).
+    /// Removes every entry matching `predicate` in one pass over the slab,
+    /// unlinking each from its chains. Returns how many entries were
+    /// dropped.
     fn remove_where(&mut self, predicate: impl Fn(&MirrorEntry) -> bool) -> usize {
-        let mut write = 0;
-        for read in 0..self.entries.len() {
-            let entry = self.entries[read];
-            if predicate(&entry) {
-                self.buckets.remove(&entry.addr, entry.seq);
-            } else {
-                self.entries[write] = entry;
-                write += 1;
+        if self.len == 0 {
+            return 0;
+        }
+        let mut removed = 0;
+        for slot in 0..self.entries.len() {
+            let entry = self.entries[slot];
+            if self.live[slot] && predicate(&entry) {
+                let slot = slot as u32;
+                self.chains.unlink_seq(slot, entry.seq);
+                self.chains.unlink_lines(slot, &entry.addr);
+                self.live[slot as usize] = false;
+                self.free.push(slot);
+                removed += 1;
             }
         }
-        let removed = self.entries.len() - write;
-        self.entries.truncate(write);
+        self.len -= removed;
         removed
     }
 
-    /// Iterates over mirrored entries in program order.
+    /// Iterates over mirrored entries in program order. Sorts the live
+    /// entries on every call; only tests and serialization use it.
     pub fn iter(&self) -> impl Iterator<Item = &MirrorEntry> {
-        self.entries.iter()
+        let mut live: Vec<&MirrorEntry> = self
+            .entries
+            .iter()
+            .zip(&self.live)
+            .filter_map(|(entry, &live)| live.then_some(entry))
+            .collect();
+        live.sort_unstable_by_key(|e| e.seq);
+        live.into_iter()
     }
 }
 
-/// Serialization carries only the ordered entries; the address buckets are
-/// rebuilt on deserialization.
+/// Serialization carries only the entries, in program order; the slab and
+/// chains are rebuilt on deserialization.
 impl Serialize for StoreQueueMirror {
     fn to_value(&self) -> serde::Value {
-        self.entries.to_value()
+        self.iter().copied().collect::<Vec<_>>().to_value()
     }
 }
 

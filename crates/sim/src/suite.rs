@@ -833,18 +833,18 @@ fn evaluate_check(check: &Check, report: &Report, golden_dir: &Path) -> CheckOut
                     Err(outcome) => return outcome,
                 }
             }
-            let (word, ok): (&str, fn(f64, f64, f64) -> bool) = match direction {
-                Direction::NonIncreasing => {
-                    ("non-increasing", |prev, next, slack| next <= prev + slack)
-                }
-                Direction::NonDecreasing => {
-                    ("non-decreasing", |prev, next, slack| next >= prev - slack)
-                }
+            let word = match direction {
+                Direction::NonIncreasing => "non-increasing",
+                Direction::NonDecreasing => "non-decreasing",
+            };
+            let ok = |prev: f64, next: f64| match direction {
+                Direction::NonIncreasing => next <= prev + slack,
+                Direction::NonDecreasing => next >= prev - slack,
             };
             for pair in values.windows(2) {
                 let (prev_label, prev) = &pair[0];
                 let (next_label, next) = &pair[1];
-                if !ok(*prev, *next, *slack) {
+                if !ok(*prev, *next) {
                     return fail(format!(
                         "`{column}` is not {word}: {prev_label} = {prev} then \
                          {next_label} = {next} (slack {slack})"
@@ -878,7 +878,7 @@ fn evaluate_check(check: &Check, report: &Report, golden_dir: &Path) -> CheckOut
                 Err(e) => return fail(e),
             };
             let resolve = |sel: &RowSel| -> Result<(String, f64), CheckOutcome> {
-                let i = resolve_row(table, sel).map_err(|e| fail(e))?;
+                let i = resolve_row(table, sel).map_err(&fail)?;
                 let row = &table.rows()[i];
                 let label = row_label(row, i);
                 let v = cell_value(&label, column, &row[col])?;

@@ -61,7 +61,7 @@ impl BlockSource for CompressInt {
         let io = ArchReg::int(23);
         let sp = ArchReg::int(30);
         sink.push(self.emitter.alu(OpClass::IntAlu, ii, &[ii]));
-        sink.push(self.emitter.load(self.input.next(), 8, sym, ii));
+        sink.push(self.emitter.load(self.input.next_addr(), 8, sym, ii));
         // Model lookup indexed by (a hash of) the symbol: the lookup address
         // depends on the loaded symbol, but the model mostly hits in L2.
         sink.push(self.emitter.alu(OpClass::IntAlu, sym, &[sym]));
@@ -69,9 +69,9 @@ impl BlockSource for CompressInt {
         sink.push(self.emitter.load(slot, 8, code, sym));
         sink.push(self.emitter.branch(&mut self.rng, &self.params, code));
         sink.push(self.emitter.alu(OpClass::IntAlu, io, &[io]));
-        sink.push(self.emitter.store(self.output.next(), 8, io, code));
+        sink.push(self.emitter.store(self.output.next_addr(), 8, io, code));
         if self.rng.gen_bool(self.params.spill_rate) {
-            let s = self.stack.next();
+            let s = self.stack.next_addr();
             sink.push(self.emitter.store(s, 8, sp, code));
             sink.push(self.emitter.load(s, 8, ArchReg::int(24), sp));
         }

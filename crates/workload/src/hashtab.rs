@@ -107,7 +107,7 @@ impl BlockSource for HashTableInt {
         }
         // Spill/reload traffic.
         if self.rng.gen_bool(self.params.spill_rate) {
-            let s = self.stack.next();
+            let s = self.stack.next_addr();
             sink.push(self.emitter.store(s, 8, sp, val));
             sink.push(self.emitter.load(s, 8, ArchReg::int(13), sp));
         }

@@ -63,7 +63,7 @@ impl MatrixBlockFp {
 impl BlockSource for MatrixBlockFp {
     fn fill(&mut self, sink: &mut Vec<DynInst>) {
         if self.reuse_left == 0 {
-            self.block_base = self.matrix.next();
+            self.block_base = self.matrix.next_addr();
             self.reuse_left = self.reuse_per_block;
         }
         self.reuse_left -= 1;
@@ -90,7 +90,10 @@ impl BlockSource for MatrixBlockFp {
         ));
         self.blocks += 1;
         if self.blocks % 4 == 0 {
-            sink.push(self.emitter.store(self.out.next(), 8, idx, ArchReg::fp(0)));
+            sink.push(
+                self.emitter
+                    .store(self.out.next_addr(), 8, idx, ArchReg::fp(0)),
+            );
         }
         if self.blocks % 8 == 0 {
             sink.push(self.emitter.branch(&mut self.rng, &self.params, idx));

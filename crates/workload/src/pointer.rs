@@ -97,7 +97,7 @@ impl BlockSource for PointerChaseInt {
         let val = ArchReg::int(7);
         let sp = ArchReg::int(30);
         // Chase: the next pointer load depends on the previous one.
-        let node = self.chase.next();
+        let node = self.chase.next_addr();
         sink.push(self.emitter.load(node, 8, ptr, ptr));
         // Work on the node's payload.
         sink.push(self.emitter.load(node + 8, 8, val, ptr));
@@ -111,7 +111,7 @@ impl BlockSource for PointerChaseInt {
         // same stack slot — the close store→load forwarding pairs that local
         // (single-epoch) disambiguation captures.
         if self.rng.gen_bool(self.params.spill_rate) {
-            let slot = self.stack.next();
+            let slot = self.stack.next_addr();
             sink.push(self.emitter.store(slot, 8, sp, val));
             sink.push(self.emitter.alu(OpClass::IntAlu, sp, &[sp]));
             sink.push(self.emitter.load(slot, 8, ArchReg::int(8), sp));

@@ -76,7 +76,7 @@ impl StreamRegion {
     }
 
     /// The next address in the stream.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_addr(&mut self) -> u64 {
         let addr = self.base + self.offset;
         self.offset = (self.offset + self.stride) % self.size;
         addr
@@ -165,7 +165,7 @@ impl ChaseRegion {
     }
 
     /// Follows the chain one step and returns the next node's address.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_addr(&mut self) -> u64 {
         // xorshift64* walk over the node index space: uncorrelated with any
         // cache indexing yet fully deterministic.
         let mut x = self.state;
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn stream_wraps_at_region_end() {
         let mut s = StreamRegion::new(0x1000, 64, 16);
-        let addrs: Vec<u64> = (0..6).map(|_| s.next()).collect();
+        let addrs: Vec<u64> = (0..6).map(|_| s.next_addr()).collect();
         assert_eq!(addrs, vec![0x1000, 0x1010, 0x1020, 0x1030, 0x1000, 0x1010]);
         assert_eq!(s.peek(), 0x1020);
         assert_eq!(s.size(), 64);
@@ -224,8 +224,8 @@ mod tests {
         let mut c1 = ChaseRegion::new(0x4000, 128, 64, 99);
         let mut c2 = ChaseRegion::new(0x4000, 128, 64, 99);
         for _ in 0..500 {
-            let a = c1.next();
-            assert_eq!(a, c2.next());
+            let a = c1.next_addr();
+            assert_eq!(a, c2.next_addr());
             assert!(a >= 0x4000 && a < 0x4000 + 128 * 64);
             assert_eq!(a % 64, 0);
         }
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn chase_visits_many_distinct_nodes() {
         let mut c = ChaseRegion::new(0, 1024, 64, 3);
-        let distinct: std::collections::HashSet<u64> = (0..2000).map(|_| c.next()).collect();
+        let distinct: std::collections::HashSet<u64> = (0..2000).map(|_| c.next_addr()).collect();
         assert!(
             distinct.len() > 500,
             "walk should cover a large fraction of nodes"

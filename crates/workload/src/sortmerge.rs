@@ -58,15 +58,15 @@ impl BlockSource for SortMergeInt {
         let vr = ArchReg::int(18);
         sink.push(self.emitter.alu(OpClass::IntAlu, il, &[il]));
         sink.push(self.emitter.alu(OpClass::IntAlu, ir, &[ir]));
-        sink.push(self.emitter.load(self.left.next(), 8, vl, il));
-        sink.push(self.emitter.load(self.right.next(), 8, vr, ir));
+        sink.push(self.emitter.load(self.left.next_addr(), 8, vl, il));
+        sink.push(self.emitter.load(self.right.next_addr(), 8, vr, ir));
         // The comparison outcome depends on both loaded values.
         sink.push(self.emitter.alu(OpClass::IntAlu, vl, &[vl, vr]));
         sink.push(self.emitter.branch(&mut self.rng, &self.params, vl));
         sink.push(self.emitter.alu(OpClass::IntAlu, io, &[io]));
         // Write whichever element "won" the comparison.
         let winner = if self.rng.gen_bool(0.5) { vl } else { vr };
-        sink.push(self.emitter.store(self.out.next(), 8, io, winner));
+        sink.push(self.emitter.store(self.out.next_addr(), 8, io, winner));
         self.blocks += 1;
     }
 

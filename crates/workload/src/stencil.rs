@@ -59,7 +59,7 @@ impl StencilFp {
 impl BlockSource for StencilFp {
     fn fill(&mut self, sink: &mut Vec<DynInst>) {
         let idx = ArchReg::int(1);
-        let center = self.grid.next();
+        let center = self.grid.next_addr();
         sink.push(self.emitter.alu(OpClass::IntAlu, idx, &[idx]));
         // Three-point stencil: centre, previous row, next row.
         let points = [
@@ -80,7 +80,7 @@ impl BlockSource for StencilFp {
             self.emitter
                 .alu(OpClass::FpMul, acc, &[acc, ArchReg::fp(3)]),
         );
-        sink.push(self.emitter.store(self.out.next(), 8, idx, acc));
+        sink.push(self.emitter.store(self.out.next_addr(), 8, idx, acc));
         self.blocks += 1;
         if self.blocks % 8 == 0 {
             sink.push(self.emitter.branch(&mut self.rng, &self.params, idx));
@@ -141,10 +141,10 @@ impl BlockSource for IrregularFp {
         let idx_out = ArchReg::int(5);
         // Pointer-style index load: the next index address depends on the
         // previously loaded index (multilevel dereferencing as in smvp()).
-        let index_addr = self.index_chase.next();
+        let index_addr = self.index_chase.next_addr();
         sink.push(self.emitter.load(index_addr, 8, ptr, ptr));
         // The value load's *address* depends on the just-loaded index.
-        let value_addr = self.values.next();
+        let value_addr = self.values.next_addr();
         sink.push(self.emitter.load(value_addr, 8, ArchReg::fp(1), ptr));
         sink.push(self.emitter.alu(
             OpClass::FpMul,
@@ -163,7 +163,7 @@ impl BlockSource for IrregularFp {
         } else {
             sink.push(
                 self.emitter
-                    .store(self.out.next(), 8, idx_out, ArchReg::fp(0)),
+                    .store(self.out.next_addr(), 8, idx_out, ArchReg::fp(0)),
             );
         }
         if self.blocks % 6 == 0 {

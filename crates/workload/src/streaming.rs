@@ -75,7 +75,7 @@ impl BlockSource for StreamingFp {
             let idx = ArchReg::int(2 + i as u8);
             let data = ArchReg::fp(1 + i as u8);
             sink.push(self.emitter.alu(OpClass::IntAlu, idx, &[idx]));
-            sink.push(self.emitter.load(stream.next(), 8, data, idx));
+            sink.push(self.emitter.load(stream.next_addr(), 8, data, idx));
         }
         // Reduce the loaded values pairwise into f0.
         let acc = ArchReg::fp(0);
@@ -90,7 +90,7 @@ impl BlockSource for StreamingFp {
             );
         }
         sink.push(self.emitter.alu(OpClass::IntAlu, idx_out, &[idx_out]));
-        sink.push(self.emitter.store(self.output.next(), 8, idx_out, acc));
+        sink.push(self.emitter.store(self.output.next_addr(), 8, idx_out, acc));
         self.blocks += 1;
         if self.blocks % self.branch_period == 0 {
             sink.push(self.emitter.branch(&mut self.rng, &self.params, idx_out));

@@ -186,27 +186,26 @@ pub fn verify_traces(
     };
     let workers = workers.clamp(1, paths.len().max(1));
     let next = AtomicUsize::new(0);
-    let mut verified: Vec<(usize, Result<(TraceMeta, TraceStats), EtrcError>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(path) = paths.get(i) else {
-                                return done;
-                            };
-                            done.push((i, verify(path)));
-                        }
-                    })
+    let mut verified: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(path) = paths.get(i) else {
+                            return done;
+                        };
+                        done.push((i, verify(path)));
+                    }
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("trace verification worker panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("trace verification worker panicked"))
+            .collect()
+    });
     verified.sort_by_key(|&(i, _)| i);
     verified.into_iter().map(|(_, result)| result).collect()
 }
