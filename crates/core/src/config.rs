@@ -276,17 +276,25 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = ElsqConfig::default();
-        c.num_epochs = 0;
+        let c = ElsqConfig {
+            num_epochs: 0,
+            ..ElsqConfig::default()
+        };
         assert_eq!(c.validate(), Err(ElsqConfigError::EpochCountOutOfRange(0)));
-        let mut c = ElsqConfig::default();
-        c.num_epochs = 33;
+        let c = ElsqConfig {
+            num_epochs: 33,
+            ..ElsqConfig::default()
+        };
         assert!(c.validate().is_err());
-        let mut c = ElsqConfig::default();
-        c.hl_sq_entries = 0;
+        let c = ElsqConfig {
+            hl_sq_entries: 0,
+            ..ElsqConfig::default()
+        };
         assert_eq!(c.validate(), Err(ElsqConfigError::EmptyHighLocalityQueue));
-        let mut c = ElsqConfig::default();
-        c.epoch_max_stores = 0;
+        let c = ElsqConfig {
+            epoch_max_stores: 0,
+            ..ElsqConfig::default()
+        };
         assert_eq!(c.validate(), Err(ElsqConfigError::EmptyEpoch));
         let c = ElsqConfig::default().with_ert(ErtKind::Hash { bits: 0 });
         assert_eq!(c.validate(), Err(ElsqConfigError::HashBitsOutOfRange(0)));

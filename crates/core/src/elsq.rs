@@ -179,18 +179,6 @@ impl std::fmt::Display for MigrateError {
 
 impl std::error::Error for MigrateError {}
 
-/// The stores of a committed epoch, drained in program order so the caller
-/// can write them to the cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommittedEpoch {
-    /// Bank the epoch occupied.
-    pub bank: usize,
-    /// Stores to write back, in program order.
-    pub stores: Vec<MemEntry>,
-    /// Number of loads the epoch held (for statistics).
-    pub loads: usize,
-}
-
 /// The Epoch-based Load/Store Queue.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Elsq {
@@ -853,28 +841,10 @@ impl Elsq {
         }
     }
 
-    /// Commits the oldest epoch: clears its ERT column, unlocks its lines,
-    /// drops its mirrored stores and returns its stores for write-back.
-    pub fn commit_oldest_epoch(
-        &mut self,
-        l1: Option<&mut SetAssocCache>,
-    ) -> Option<CommittedEpoch> {
-        let epoch = self.ll.commit_oldest()?;
-        let bank = epoch.bank();
-        self.finish_epoch(bank, l1);
-        let committed = CommittedEpoch {
-            bank,
-            loads: epoch.load_count(),
-            stores: epoch.stores().copied().collect(),
-        };
-        self.ll.recycle(epoch);
-        Some(committed)
-    }
-
-    /// Commits the oldest epoch without materializing its stores — the
-    /// allocation-free path the cycle loop uses when only the timing side
-    /// effects matter (the store write-back is modeled at instruction
-    /// commit, not here). Returns whether an epoch was retired.
+    /// Commits the oldest epoch: clears its ERT column, unlocks its lines and
+    /// drops its mirrored stores. Its stores are not materialized: the cycle
+    /// loop models their write-back at instruction commit. Returns whether
+    /// an epoch was retired.
     pub fn retire_oldest_epoch(&mut self, l1: Option<&mut SetAssocCache>) -> bool {
         let Some(epoch) = self.ll.commit_oldest() else {
             return false;
@@ -997,9 +967,9 @@ mod tests {
         assert_eq!(lsq.counters().ert_true_positives, 1);
         assert_eq!(lsq.counters().global_forwards, 1);
         // Committing the epoch clears the ERT so later loads no longer match.
-        let committed = lsq.commit_oldest_epoch(None).unwrap();
-        assert_eq!(committed.bank, bank);
-        assert_eq!(committed.stores.len(), 1);
+        assert_eq!(lsq.oldest_epoch(), Some(bank));
+        assert!(lsq.retire_oldest_epoch(None));
+        assert!(!lsq.ll_active());
         lsq.allocate_hl(MemOpKind::Load, 11).unwrap();
         let out = lsq.issue_hl_load(11, acc(0x200), 30);
         assert!(out.forwarded_from.is_none());
@@ -1016,7 +986,7 @@ mod tests {
         let out = lsq.issue_hl_load(5, acc(0x300), 9);
         assert_eq!(out.forwarded_from, Some(1));
         assert_eq!(lsq.counters().roundtrips, 1);
-        assert_eq!(lsq.counters().ll_sq_searches >= 1, true);
+        assert!(lsq.counters().ll_sq_searches >= 1);
         // The round-trip makes this slower than the SQM path.
         assert!(out.extra_latency >= 2 * lsq.config().network_one_way);
     }
@@ -1151,7 +1121,7 @@ mod tests {
             .unwrap();
         assert!(l1.is_locked(0x1000));
         assert_eq!(lsq.counters().lines_locked, 1);
-        lsq.commit_oldest_epoch(Some(&mut l1)).unwrap();
+        assert!(lsq.retire_oldest_epoch(Some(&mut l1)));
         assert!(!l1.is_locked(0x1000));
     }
 

@@ -141,12 +141,6 @@ impl LlLsq {
     /// Banks of live epochs ordered from youngest to oldest — the order in
     /// which a global search walks remote epochs ("starting from the most
     /// recent one", Section 3.4).
-    pub fn banks_young_to_old(&self) -> Vec<usize> {
-        self.iter_banks_young_to_old().collect()
-    }
-
-    /// Allocation-free variant of [`LlLsq::banks_young_to_old`]; the hot
-    /// search paths in the coordinator use this.
     pub fn iter_banks_young_to_old(&self) -> impl Iterator<Item = usize> + '_ {
         self.order.iter().rev().copied()
     }
@@ -166,16 +160,6 @@ impl LlLsq {
         };
         let squashed_banks: Vec<usize> = self.order.drain(pos..).collect();
         squashed_banks
-            .into_iter()
-            .filter_map(|b| self.banks[b].take())
-            .collect()
-    }
-
-    /// Squashes every live epoch (full-window recovery), returning them
-    /// oldest-first.
-    pub fn squash_all(&mut self) -> Vec<Epoch> {
-        let banks: Vec<usize> = self.order.drain(..).collect();
-        banks
             .into_iter()
             .filter_map(|b| self.banks[b].take())
             .collect()
@@ -250,9 +234,8 @@ mod tests {
         let b2 = q.open_epoch(200).unwrap();
         assert_eq!(b2, b0);
         let ids: Vec<u64> = q
-            .banks_young_to_old()
-            .iter()
-            .map(|&b| q.epoch(b).unwrap().id())
+            .iter_banks_young_to_old()
+            .map(|b| q.epoch(b).unwrap().id())
             .collect();
         assert_eq!(ids, vec![2, 1]);
     }
@@ -290,17 +273,6 @@ mod tests {
         assert_eq!(q.oldest_bank(), Some(b0));
         // Squashing an unknown bank is a no-op.
         assert!(q.squash_from_bank(b2).is_empty());
-    }
-
-    #[test]
-    fn squash_all_empties_queue() {
-        let mut q = ll(3);
-        q.open_epoch(0).unwrap();
-        q.open_epoch(5).unwrap();
-        let squashed = q.squash_all();
-        assert_eq!(squashed.len(), 2);
-        assert!(q.is_idle());
-        assert_eq!(q.total_allocated(), 2);
     }
 
     #[test]

@@ -341,6 +341,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.squash_from(9), 1);
         assert_eq!(m.len(), 1);
-        assert!(m.is_empty() == false);
+        assert!(!m.is_empty());
     }
 }

@@ -26,9 +26,8 @@ pub enum ExecSite {
 /// Result of issuing a load through the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DriverLoadResult {
-    /// Whether the load forwards from an in-flight store.
-    pub forwarded: bool,
-    /// Sequence number of the forwarding store.
+    /// Sequence number of the forwarding store, if the load forwards from
+    /// an in-flight store.
     pub forwarded_from: Option<u64>,
     /// Cycle when the forwarding store's data is available.
     pub forward_ready_at: Option<u64>,
@@ -106,7 +105,6 @@ impl LsqDriver {
             LsqDriver::Central(l) => {
                 let out = l.issue_load(seq, addr, cycle);
                 DriverLoadResult {
-                    forwarded: out.forward.is_some(),
                     forwarded_from: out.forward.map(|f| f.store_seq),
                     forward_ready_at: out.forward.map(|f| f.data_ready_at),
                     partial_overlap: out.forward.map(|f| !f.full_cover).unwrap_or(false),
@@ -121,7 +119,6 @@ impl LsqDriver {
                     ExecSite::MemoryEngine { bank } => l.issue_ll_load(bank, seq, addr, cycle, l1),
                 };
                 DriverLoadResult {
-                    forwarded: out.forwarded_from.is_some(),
                     forwarded_from: out.forwarded_from,
                     forward_ready_at: out.forward_ready_at,
                     partial_overlap: out.partial_overlap_with.is_some(),
@@ -197,20 +194,12 @@ impl LsqDriver {
         }
     }
 
-    /// Retires the oldest epoch (ELSQ only). Uses the allocation-free path:
-    /// the cycle loop never inspects the retired stores (their write-back is
-    /// accounted at instruction commit), so nothing is materialized.
-    pub fn commit_oldest_epoch(&mut self, l1: Option<&mut SetAssocCache>) {
+    /// Retires the oldest epoch (ELSQ only). The cycle loop never inspects
+    /// the retired stores (their write-back is accounted at instruction
+    /// commit), so nothing is materialized.
+    pub fn retire_oldest_epoch(&mut self, l1: Option<&mut SetAssocCache>) {
         if let LsqDriver::Elsq(l) = self {
             l.retire_oldest_epoch(l1);
-        }
-    }
-
-    /// Number of live epochs (0 for central queues).
-    pub fn live_epochs(&self) -> usize {
-        match self {
-            LsqDriver::Central(_) => 0,
-            LsqDriver::Elsq(l) => l.live_epochs(),
         }
     }
 
@@ -293,12 +282,10 @@ mod tests {
         let st = d.resolve_store(1, acc(0x80), 5, ExecSite::CacheProcessor, None);
         assert!(st.violation_load_seq.is_none());
         let ld = d.issue_load(2, acc(0x80), 6, ExecSite::CacheProcessor, None);
-        assert!(ld.forwarded);
         assert_eq!(ld.forwarded_from, Some(1));
         d.commit_mem(MemOpKind::Store, 1);
         d.commit_mem(MemOpKind::Load, 2);
         assert!(!d.ll_active());
-        assert_eq!(d.live_epochs(), 0);
         assert!(d.open_epoch(0).is_some());
         assert!(d.migrate(MemOpKind::Load, 99, None).is_ok());
     }
@@ -309,21 +296,21 @@ mod tests {
         assert!(d.allocate(MemOpKind::Store, 1));
         let st = d.resolve_store(1, acc(0x100), 3, ExecSite::CacheProcessor, None);
         assert_eq!(st.violation_load_seq, None);
-        assert!(!d.needs_new_epoch(MemOpKind::Store) || d.live_epochs() == 0);
+        assert!(!d.needs_new_epoch(MemOpKind::Store) || !d.ll_active());
         d.open_epoch(1).unwrap();
         let bank = d.migrate(MemOpKind::Store, 1, None).unwrap();
         assert!(d.ll_active());
         assert_eq!(d.epochs_allocated(), 1);
         assert!(d.allocate(MemOpKind::Load, 5));
         let ld = d.issue_load(5, acc(0x100), 9, ExecSite::CacheProcessor, None);
-        assert!(ld.forwarded);
+        assert!(ld.forwarded_from.is_some());
         // A low-locality load in the same bank sees the store locally.
         assert!(d.allocate(MemOpKind::Load, 6));
         d.migrate(MemOpKind::Load, 6, None).unwrap();
         let ld = d.issue_load(6, acc(0x100), 12, ExecSite::MemoryEngine { bank }, None);
-        assert!(ld.forwarded);
-        d.commit_oldest_epoch(None);
-        assert_eq!(d.live_epochs(), 0);
+        assert!(ld.forwarded_from.is_some());
+        d.retire_oldest_epoch(None);
+        assert!(!d.ll_active());
         let counters = d.counters();
         assert!(counters.hl_sq_searches >= 1);
         assert!(counters.local_forwards + counters.global_forwards >= 2);

@@ -187,7 +187,7 @@ mod tests {
             if inst.is_load() {
                 saw_load = true;
                 let a = inst.mem_access().addr;
-                assert!(a >= 0x8000 && a < 0x8000 + 4096);
+                assert!((0x8000..0x8000 + 4096).contains(&a));
             }
         }
         assert!(saw_load);
@@ -198,7 +198,7 @@ mod tests {
         let mut wp = WrongPathSynth::new(1, 0x100, 8, 1.0);
         let inst = wp.inst(0);
         let addr = inst.mem_access().addr;
-        assert!(addr >= 0x100 && addr < 0x100 + 64);
+        assert!((0x100..0x100 + 64).contains(&addr));
         assert_eq!(wp.spec().region_size, 64);
     }
 
@@ -218,7 +218,7 @@ mod tests {
             assert!(inst.is_load());
             assert!(inst.validate().is_ok());
             let addr = inst.mem_access().addr;
-            assert!(addr >= 0x2000 && addr < 0x2000 + 64);
+            assert!((0x2000..0x2000 + 64).contains(&addr));
         }
     }
 

@@ -1130,12 +1130,10 @@ mod tests {
         .unwrap_err()
         .contains("unknown key `slak`"));
         // Duplicate assertion names would make runner output ambiguous.
-        assert!(err(&format!(
-            r#"{{"name": "x", "experiment": "fig7", "assertions": [
-                {{"name": "a", "kind": "bound", "column": "x", "min": 0}},
-                {{"name": "a", "kind": "bound", "column": "x", "max": 1}}
-            ]}}"#
-        ))
+        assert!(err(r#"{"name": "x", "experiment": "fig7", "assertions": [
+                {"name": "a", "kind": "bound", "column": "x", "min": 0},
+                {"name": "a", "kind": "bound", "column": "x", "max": 1}
+            ]}"#)
         .contains("declared twice"));
     }
 

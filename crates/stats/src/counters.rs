@@ -246,9 +246,11 @@ mod tests {
 
     #[test]
     fn scaling_to_100m_is_linear() {
-        let mut c = LsqAccessCounters::default();
-        c.hl_sq_searches = 500;
-        c.ert_lookups = 250;
+        let c = LsqAccessCounters {
+            hl_sq_searches: 500,
+            ert_lookups: 250,
+            ..LsqAccessCounters::default()
+        };
         let s = c.scaled_per_100m(1_000_000);
         assert_eq!(s.hl_sq_searches, 50_000);
         assert_eq!(s.ert_lookups, 25_000);
@@ -262,12 +264,16 @@ mod tests {
 
     #[test]
     fn counters_add() {
-        let mut a = LsqAccessCounters::default();
-        a.roundtrips = 3;
-        a.local_forwards = 2;
-        let mut b = LsqAccessCounters::default();
-        b.roundtrips = 4;
-        b.global_forwards = 1;
+        let a = LsqAccessCounters {
+            roundtrips: 3,
+            local_forwards: 2,
+            ..LsqAccessCounters::default()
+        };
+        let b = LsqAccessCounters {
+            roundtrips: 4,
+            global_forwards: 1,
+            ..LsqAccessCounters::default()
+        };
         let c = a + b;
         assert_eq!(c.roundtrips, 7);
         assert_eq!(c.local_forwards, 2);
@@ -306,12 +312,16 @@ mod tests {
 
     #[test]
     fn sim_counters_accumulate() {
-        let mut a = SimCounters::default();
-        a.cycles = 10;
-        a.committed = 20;
-        let mut b = SimCounters::default();
-        b.cycles = 5;
-        b.squashed = 7;
+        let mut a = SimCounters {
+            cycles: 10,
+            committed: 20,
+            ..SimCounters::default()
+        };
+        let b = SimCounters {
+            cycles: 5,
+            squashed: 7,
+            ..SimCounters::default()
+        };
         a += b;
         assert_eq!(a.cycles, 15);
         assert_eq!(a.committed, 20);

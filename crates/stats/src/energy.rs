@@ -268,10 +268,12 @@ mod tests {
     fn breakdown_sums_structures() {
         let m = EnergyModel::default();
         let specs = LsqStructureSpecs::default();
-        let mut c = LsqAccessCounters::default();
-        c.hl_sq_searches = 100;
-        c.ert_lookups = 100;
-        c.cache_accesses = 10;
+        let c = LsqAccessCounters {
+            hl_sq_searches: 100,
+            ert_lookups: 100,
+            cache_accesses: 10,
+            ..LsqAccessCounters::default()
+        };
         let b = m.lsq_energy_breakdown(&c, &specs);
         assert!(b.of("hl_sq") > 0.0);
         assert!(b.of("ert") > 0.0);

@@ -256,7 +256,7 @@ mod tests {
             if inst.is_load() {
                 saw_load = true;
                 let a = inst.mem_access().addr;
-                assert!(a >= 0x8000 && a < 0x8000 + 4096);
+                assert!((0x8000..0x8000 + 4096).contains(&a));
             }
         }
         assert!(saw_load);

@@ -213,7 +213,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         for _ in 0..1000 {
             let a = r.next(&mut rng);
-            assert!(a >= 0x2000 && a < 0x2000 + 4096);
+            assert!((0x2000..0x2000 + 4096).contains(&a));
             assert_eq!(a % 8, 0);
         }
         assert_eq!(r.size(), 4096);
@@ -226,7 +226,7 @@ mod tests {
         for _ in 0..500 {
             let a = c1.next_addr();
             assert_eq!(a, c2.next_addr());
-            assert!(a >= 0x4000 && a < 0x4000 + 128 * 64);
+            assert!((0x4000..0x4000 + 128 * 64).contains(&a));
             assert_eq!(a % 64, 0);
         }
         assert_eq!(c1.size(), 128 * 64);
