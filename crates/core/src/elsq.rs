@@ -531,15 +531,9 @@ impl Elsq {
             .expect("migrating an instruction that is not in the HL-LSQ");
         let ready_at = entry.ready_at;
         let issued = entry.issued;
-        {
-            let epoch = self
-                .ll
-                .epoch_mut(bank)
-                .expect("migration target epoch disappeared");
-            epoch
-                .insert(kind, entry)
-                .expect("migration target epoch reported room but rejected the entry");
-        }
+        self.ll
+            .insert(bank, kind, entry)
+            .expect("migration target epoch reported room but rejected the entry");
         // Only the store-queue bank is a CAM that later forwarding searches
         // must match against, so its insertion counts as an access; load
         // entries are plain RAM writes and only their searches are counted.
@@ -615,9 +609,8 @@ impl Elsq {
                 }
             }
         }
-        let own_id = match self.ll.epoch_mut(bank) {
+        let own_id = match self.ll.set_address(bank, MemOpKind::Load, seq, addr) {
             Some(epoch) => {
-                epoch.set_address(MemOpKind::Load, seq, addr);
                 epoch.set_issued(MemOpKind::Load, seq, cycle);
                 epoch.id()
             }
@@ -743,9 +736,8 @@ impl Elsq {
                 }
             }
         }
-        let own_id = match self.ll.epoch_mut(bank) {
+        let own_id = match self.ll.set_address(bank, MemOpKind::Store, seq, addr) {
             Some(epoch) => {
-                epoch.set_address(MemOpKind::Store, seq, addr);
                 epoch.set_issued(MemOpKind::Store, seq, cycle);
                 epoch.id()
             }

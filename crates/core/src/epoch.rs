@@ -106,13 +106,18 @@ impl Epoch {
     }
 
     /// Inserts an entry migrated from the HL-LSQ (possibly with its address
-    /// already known).
+    /// already known). Reached through [`crate::ll::LlLsq::insert`], which
+    /// keeps its count of unresolved stores with this epoch's.
     ///
     /// # Errors
     ///
     /// Returns [`QueueFullError`] when the epoch's queue for `kind` is full;
     /// the caller must open a new epoch.
-    pub fn insert(&mut self, kind: MemOpKind, entry: MemEntry) -> Result<(), QueueFullError> {
+    pub(crate) fn insert(
+        &mut self,
+        kind: MemOpKind,
+        entry: MemEntry,
+    ) -> Result<(), QueueFullError> {
         match kind {
             MemOpKind::Load => self.lq.push_entry(entry),
             MemOpKind::Store => {
@@ -127,7 +132,9 @@ impl Epoch {
     }
 
     /// Records the address of a load or store already in the epoch.
-    pub fn set_address(&mut self, kind: MemOpKind, seq: u64, addr: MemAccess) -> bool {
+    /// Reached through [`crate::ll::LlLsq::set_address`], for the same
+    /// reason as [`Epoch::insert`].
+    pub(crate) fn set_address(&mut self, kind: MemOpKind, seq: u64, addr: MemAccess) -> bool {
         match kind {
             MemOpKind::Load => self.lq.set_address(seq, addr),
             MemOpKind::Store => {

@@ -8,8 +8,10 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+use elsq_isa::MemAccess;
+
 use crate::epoch::{Epoch, EpochLimits};
-use crate::queue::MemOpKind;
+use crate::queue::{MemEntry, MemOpKind, QueueFullError};
 
 /// Error returned when a new epoch is needed but every bank is in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +40,11 @@ pub struct LlLsq {
     /// of these instead of allocating fresh queues, so steady-state epoch
     /// turnover performs no allocation.
     spare: Vec<Epoch>,
+    /// Stores with an unknown address across the live epochs: the sum of
+    /// their [`Epoch::unresolved_stores`]. Only the methods that insert,
+    /// resolve or drop stores change an epoch's count, and each of them
+    /// updates this one with it.
+    unresolved_stores: usize,
 }
 
 impl LlLsq {
@@ -50,6 +57,7 @@ impl LlLsq {
             next_id: 0,
             allocated: 0,
             spare: Vec::with_capacity(num_banks),
+            unresolved_stores: 0,
         }
     }
 
@@ -124,9 +132,53 @@ impl LlLsq {
         self.banks.get(bank).and_then(|b| b.as_ref())
     }
 
-    /// Mutable access to the epoch in `bank`.
-    pub fn epoch_mut(&mut self, bank: usize) -> Option<&mut Epoch> {
+    /// Mutable access to the epoch in `bank`. Inserting or resolving a
+    /// store through it would leave [`LlLsq::has_unresolved_stores`]
+    /// behind, so those go through [`LlLsq::insert`] and
+    /// [`LlLsq::set_address`].
+    pub(crate) fn epoch_mut(&mut self, bank: usize) -> Option<&mut Epoch> {
         self.banks.get_mut(bank).and_then(|b| b.as_mut())
+    }
+
+    /// Inserts `entry`, migrated from the HL-LSQ with its address known or
+    /// not, into the epoch in `bank`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueueFullError`] when that epoch's queue for `kind` is
+    /// full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no epoch is live in `bank`.
+    pub fn insert(
+        &mut self,
+        bank: usize,
+        kind: MemOpKind,
+        entry: MemEntry,
+    ) -> Result<(), QueueFullError> {
+        let epoch = self.epoch_mut(bank).expect("no live epoch in that bank");
+        let before = epoch.unresolved_stores();
+        let result = epoch.insert(kind, entry);
+        let after = epoch.unresolved_stores();
+        self.unresolved_stores += after - before;
+        result
+    }
+
+    /// Records the address of load or store `seq` in the epoch in `bank`
+    /// and returns that epoch, or `None` when no epoch is live there.
+    pub fn set_address(
+        &mut self,
+        bank: usize,
+        kind: MemOpKind,
+        seq: u64,
+        addr: MemAccess,
+    ) -> Option<&mut Epoch> {
+        let epoch = self.banks.get_mut(bank).and_then(|b| b.as_mut())?;
+        let before = epoch.unresolved_stores();
+        epoch.set_address(kind, seq, addr);
+        self.unresolved_stores -= before - epoch.unresolved_stores();
+        Some(epoch)
     }
 
     /// Whether the youngest epoch can accept another entry of `kind`.
@@ -148,7 +200,9 @@ impl LlLsq {
     /// Retires the oldest epoch (it committed) and returns it.
     pub fn commit_oldest(&mut self) -> Option<Epoch> {
         let bank = self.order.pop_front()?;
-        self.banks[bank].take()
+        let epoch = self.banks[bank].take()?;
+        self.unresolved_stores -= epoch.unresolved_stores();
+        Some(epoch)
     }
 
     /// Squashes the epoch in `bank` and every younger epoch, returning the
@@ -159,10 +213,14 @@ impl LlLsq {
             return Vec::new();
         };
         let squashed_banks: Vec<usize> = self.order.drain(pos..).collect();
-        squashed_banks
+        let squashed: Vec<Epoch> = squashed_banks
             .into_iter()
             .filter_map(|b| self.banks[b].take())
-            .collect()
+            .collect();
+        for epoch in &squashed {
+            self.unresolved_stores -= epoch.unresolved_stores();
+        }
+        squashed
     }
 
     /// Total loads across live epochs.
@@ -185,17 +243,13 @@ impl LlLsq {
 
     /// Whether any live epoch holds a store with an unknown address.
     pub fn has_unresolved_stores(&self) -> bool {
-        self.order
-            .iter()
-            .filter_map(|&b| self.epoch(b))
-            .any(|e| e.unresolved_stores() > 0)
+        self.unresolved_stores > 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::MemEntry;
 
     fn ll(banks: usize) -> LlLsq {
         LlLsq::new(
@@ -244,10 +298,7 @@ mod tests {
     fn recycled_shells_are_reused_and_reset() {
         let mut q = ll(2);
         let b0 = q.open_epoch(0).unwrap();
-        q.epoch_mut(b0)
-            .unwrap()
-            .insert(MemOpKind::Load, MemEntry::pending(1))
-            .unwrap();
+        q.insert(b0, MemOpKind::Load, MemEntry::pending(1)).unwrap();
         let epoch = q.commit_oldest().unwrap();
         q.recycle(epoch);
         let b1 = q.open_epoch(50).unwrap();
@@ -281,9 +332,8 @@ mod tests {
         assert!(!q.youngest_has_room(MemOpKind::Load));
         let b = q.open_epoch(0).unwrap();
         assert!(q.youngest_has_room(MemOpKind::Load));
-        let ep = q.epoch_mut(b).unwrap();
-        ep.insert(MemOpKind::Store, MemEntry::pending(1)).unwrap();
-        ep.insert(MemOpKind::Store, MemEntry::pending(2)).unwrap();
+        q.insert(b, MemOpKind::Store, MemEntry::pending(1)).unwrap();
+        q.insert(b, MemOpKind::Store, MemEntry::pending(2)).unwrap();
         assert!(!q.youngest_has_room(MemOpKind::Store));
         assert_eq!(q.total_stores(), 2);
         assert_eq!(q.total_loads(), 0);

@@ -5,7 +5,9 @@ use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 use elsq_core::config::ErtKind;
+use elsq_core::epoch::EpochLimits;
 use elsq_core::ert::{EpochMask, Ert};
+use elsq_core::ll::LlLsq;
 use elsq_core::queue::{AgeQueue, MemEntry, MemOpKind};
 use elsq_core::sqm::{MirrorEntry, MirrorHit, StoreQueueMirror};
 use elsq_core::ssbf::StoreSequenceBloomFilter;
@@ -640,6 +642,91 @@ proptest! {
                 }
                 prop_assert_eq!(ert.occupied_entries(), reference.occupied_entries());
             }
+        }
+    }
+}
+
+/// Whether any live epoch of `ll` holds a store with an unknown address,
+/// by walking the epochs: how `LlLsq::has_unresolved_stores` answered
+/// before it kept a count.
+fn any_epoch_has_unresolved_stores(ll: &LlLsq) -> bool {
+    ll.iter_banks_young_to_old()
+        .filter_map(|b| ll.epoch(b))
+        .any(|e| e.unresolved_stores() > 0)
+}
+
+proptest! {
+    /// `LlLsq::has_unresolved_stores` reads a count that every insert,
+    /// resolution, retirement and squash keeps; it must answer as the
+    /// epoch walk does after any sequence of them, including inserts into
+    /// full epochs, stores inserted with their address already known,
+    /// resolutions of loads, of resolved stores and of absent entries.
+    #[test]
+    fn ll_unresolved_store_count_matches_an_epoch_walk(
+        banks in 1usize..6,
+        ops in prop::collection::vec((0u8..6, 0u64..1_000, 0u8..4), 1..120),
+    ) {
+        let mut ll = LlLsq::new(
+            banks,
+            EpochLimits {
+                max_loads: 3,
+                max_stores: 3,
+            },
+        );
+        let mut seq = 0u64;
+        for (op, pick, how) in ops {
+            let live: Vec<usize> = ll.iter_banks_young_to_old().collect();
+            let bank = (!live.is_empty()).then(|| live[pick as usize % live.len()]);
+            match (op, bank) {
+                (0, _) => {
+                    seq += 1;
+                    let _ = ll.open_epoch(seq);
+                }
+                (1 | 2, Some(bank)) => {
+                    seq += 1;
+                    let kind = if how < 3 { MemOpKind::Store } else { MemOpKind::Load };
+                    let mut entry = MemEntry::pending(seq);
+                    if how == 2 {
+                        entry.addr = Some(MemAccess::new(pick * 8, 8));
+                    }
+                    let _ = ll.insert(bank, kind, entry);
+                }
+                (3, Some(bank)) => {
+                    let epoch = ll.epoch(bank).unwrap();
+                    let (kind, entries): (MemOpKind, Vec<u64>) = if how < 3 {
+                        (MemOpKind::Store, epoch.stores().map(|e| e.seq).collect())
+                    } else {
+                        (MemOpKind::Load, epoch.loads().map(|e| e.seq).collect())
+                    };
+                    // One pick in four names a sequence number the epoch
+                    // does not hold.
+                    let target = match entries.len() {
+                        0 => seq + 1,
+                        n if pick % 4 == 0 => entries[n - 1] + 1_000,
+                        n => entries[pick as usize % n],
+                    };
+                    let resolved = ll.set_address(bank, kind, target, MemAccess::new(pick * 8, 8));
+                    prop_assert!(resolved.is_some());
+                }
+                (4, _) => {
+                    if let Some(epoch) = ll.commit_oldest() {
+                        ll.recycle(epoch);
+                    }
+                }
+                (5, Some(bank)) => {
+                    for epoch in ll.squash_from_bank(bank) {
+                        ll.recycle(epoch);
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(
+                ll.has_unresolved_stores(),
+                any_epoch_has_unresolved_stores(&ll),
+                "after op {} on bank {:?}",
+                op,
+                bank
+            );
         }
     }
 }

@@ -971,6 +971,7 @@ mod tests {
     use crate::config::{CpuConfig, LsqKind};
     use elsq_core::central::CentralLsqConfig;
     use elsq_isa::trace::{LoopTrace, VecTrace};
+    use elsq_isa::wrongpath::{WrongPathSpec, WrongPathSynth};
     use elsq_isa::{ArchReg, InstBuilder, OpClass};
     use elsq_workload::pointer::PointerChaseInt;
     use elsq_workload::stencil::IrregularFp;
@@ -1065,6 +1066,90 @@ mod tests {
         assert!(r.sim.branch_mispredicts > 0);
         assert!(r.sim.wrong_path_fetched > 0);
         assert!(r.sim.squashed >= r.sim.wrong_path_fetched);
+    }
+
+    /// A correct path of `insts` whose wrong path is all loads (at
+    /// `load_rate` 1) of one line of a region of its own, or all ALU ops.
+    struct SpecTrace(VecTrace, WrongPathSynth);
+
+    impl SpecTrace {
+        fn new(insts: Vec<DynInst>, load_rate: f64) -> Self {
+            let spec = WrongPathSpec {
+                seed: 1,
+                region_base: 0x7000_0000,
+                region_size: 64,
+                load_rate,
+            };
+            Self(VecTrace::new(insts), WrongPathSynth::from_spec(spec))
+        }
+    }
+
+    impl TraceSource for SpecTrace {
+        fn next_inst(&mut self) -> Option<DynInst> {
+            self.0.next_inst()
+        }
+
+        fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
+            self.1.run(pc, max)
+        }
+
+        fn wrong_path_skip(&mut self, n: u64) {
+            self.1.skip(n);
+        }
+
+        fn wrong_path_spec(&self) -> Option<WrongPathSpec> {
+            Some(self.1.spec())
+        }
+    }
+
+    #[test]
+    fn wrong_path_loads_hold_cache_ports_past_the_redirect() {
+        // The wrong-path loads' address register r8 is ready 16 cycles
+        // before the mispredicted branch resolves, and a 64-entry LQ takes
+        // the first 64 wrong-path loads. Four of them issue in each of
+        // those cycles, all before `resolve`, but one cache port grants one
+        // access a cycle, so the last grants fall about 48 cycles past
+        // `resolve`, while the load after the redirect issues
+        // `redirect_penalty + frontend_depth` = 8 cycles past it and must
+        // wait for them. Without the port reservations nothing of the
+        // wrong path would reach past `resolve`.
+        let insts = vec![
+            InstBuilder::alu(0x0, OpClass::IntAlu)
+                .dst(ArchReg::int(8))
+                .src(ArchReg::int(0))
+                .latency(20)
+                .build(),
+            InstBuilder::alu(0x4, OpClass::IntAlu)
+                .dst(ArchReg::int(3))
+                .src(ArchReg::int(0))
+                .latency(36)
+                .build(),
+            InstBuilder::branch(0x8, true, true, 0x100)
+                .src(ArchReg::int(3))
+                .build(),
+            InstBuilder::load(0x100, 0x1000, 8)
+                .dst(ArchReg::int(9))
+                .src(ArchReg::int(0))
+                .build(),
+        ];
+        let config = CpuConfig {
+            cache_ports: 1,
+            lsq: LsqKind::Central(CentralLsqConfig {
+                lq_entries: Some(64),
+                ..CentralLsqConfig::conventional()
+            }),
+            ..CpuConfig::ooo64()
+        };
+        let run_at = |load_rate| run(config, &mut SpecTrace::new(insts.clone(), load_rate), 4);
+        let (loads, alus) = (run_at(1.0), run_at(0.0));
+        assert_eq!((loads.sim.committed, alus.sim.committed), (4, 4));
+        assert_eq!(loads.sim.wrong_path_fetched, alus.sim.wrong_path_fetched);
+        assert!(
+            loads.sim.cycles >= alus.sim.cycles + 30,
+            "{} cycles after wrong-path loads, {} after ALU ops",
+            loads.sim.cycles,
+            alus.sim.cycles
+        );
     }
 
     #[test]

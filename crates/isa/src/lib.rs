@@ -49,6 +49,7 @@ pub mod inst;
 pub mod op;
 pub mod reg;
 pub mod shared;
+mod tape;
 pub mod trace;
 pub mod wrongpath;
 

@@ -16,14 +16,17 @@
 //! * **The correct path is position-only.** A `TraceSource`'s `next_inst`
 //!   stream is a pure function of its construction parameters; capturing it
 //!   eagerly instead of lazily cannot change it.
-//! * **The wrong path is spec-pure and independent.** Wrong-path demand
-//!   depends on each configuration's simulated timing (a wider window
-//!   fetches deeper past a mispredicted branch), so it *cannot* be shared.
-//!   But every generator synthesizes its wrong path from a
-//!   [`WrongPathSpec`]-seeded [`WrongPathSynth`] decorrelated from the
-//!   correct-path randomness — the same purity `.etrc` replay relies on —
-//!   so each cursor rebuilds a private synthesizer from the captured spec
-//!   and produces exactly the stream the original source would have.
+//! * **The wrong path is spec-pure and independent.** Every generator
+//!   synthesizes its wrong path from a [`WrongPathSpec`]-seeded
+//!   [`crate::WrongPathSynth`] decorrelated from the correct-path
+//!   randomness — the same purity `.etrc` replay relies on — so the stream
+//!   is one sequence per capture, whatever reads it. Only the demand
+//!   differs: it depends on each configuration's simulated timing (a wider
+//!   window fetches deeper past a mispredicted branch). So the capture
+//!   holds one wrong-path tape (`tape.rs`), drawn from the captured spec
+//!   as far as the deepest cursor has read, and each cursor keeps only its
+//!   own position on it; every cursor reads exactly the stream the original
+//!   source would have produced.
 //!
 //! A processor run consumes one `next_inst` per committed instruction, so
 //! capturing `max_commits` instructions suffices for any configuration
@@ -43,8 +46,9 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::inst::DynInst;
+use crate::tape::{TapeCursor, WrongPathTape};
 use crate::trace::TraceSource;
-use crate::wrongpath::{WrongPathSpec, WrongPathSynth};
+use crate::wrongpath::WrongPathSpec;
 
 /// An immutable captured instruction stream, shareable across threads.
 ///
@@ -53,7 +57,8 @@ use crate::wrongpath::{WrongPathSpec, WrongPathSynth};
 /// `size_of::<DynInst>()` per captured instruction, paid once per batch
 /// group instead of once per point. A dense capture
 /// ([`SharedStream::capture`]) is a single segment covering the whole
-/// stream.
+/// stream. The wrong-path tape grows as its cursors read it, by a bit per
+/// position plus 8 bytes per load.
 #[derive(Debug, Clone)]
 pub struct SharedStream {
     name: String,
@@ -64,7 +69,8 @@ pub struct SharedStream {
     insts: Vec<DynInst>,
     /// The captured ranges, in stream order, disjoint and non-adjacent.
     segments: Vec<Segment>,
-    wrong_path: Option<WrongPathSpec>,
+    /// The source's wrong-path stream, if it had a spec.
+    wrong_path: Option<Arc<WrongPathTape>>,
 }
 
 /// One captured range: `len` instructions from stream position `start`,
@@ -165,7 +171,9 @@ impl SharedStream {
             len: pos,
             insts,
             segments,
-            wrong_path: source.wrong_path_spec(),
+            wrong_path: source
+                .wrong_path_spec()
+                .map(|spec| Arc::new(WrongPathTape::new(spec))),
         }
     }
 
@@ -193,14 +201,14 @@ impl SharedStream {
 
     /// The captured wrong-path spec, if the source had one.
     pub fn wrong_path_spec(&self) -> Option<WrongPathSpec> {
-        self.wrong_path
+        self.wrong_path.as_ref().map(|tape| tape.spec())
     }
 
-    /// A fresh cursor over `stream`, positioned at the beginning, with its
-    /// own wrong-path synthesizer.
+    /// A fresh cursor over `stream`, positioned at the beginning of both
+    /// the correct path and the wrong-path tape.
     pub fn cursor(self: &Arc<Self>) -> SharedCursor {
         SharedCursor {
-            synth: self.wrong_path.map(WrongPathSynth::from_spec),
+            wrong_path: self.wrong_path.clone().map(TapeCursor::new),
             stream: Arc::clone(self),
             next: 0,
             end: 0,
@@ -212,10 +220,10 @@ impl SharedStream {
 /// One pipeline instance's independent read position over a
 /// [`SharedStream`].
 ///
-/// Each cursor owns a private [`WrongPathSynth`] rebuilt from the captured
-/// spec (when the source had one), because wrong-path demand differs per
-/// configuration and the synthesizer is stateful. Sources without a spec
-/// fall back to the ALU-only wrong path of the
+/// Each cursor keeps its own position on the capture's wrong-path tape
+/// (when the source had a spec), because wrong-path demand differs per
+/// configuration; the tape is drawn once for all of them. Sources without
+/// a spec fall back to the ALU-only wrong path of the
 /// [`TraceSource::wrong_path_run`] default.
 ///
 /// # Panics
@@ -233,7 +241,7 @@ pub struct SharedCursor {
     /// Stream position of captured index 0 for that run (wrapping), so the
     /// stream position of the next read is `origin + next`.
     origin: u64,
-    synth: Option<WrongPathSynth>,
+    wrong_path: Option<TapeCursor>,
 }
 
 impl SharedCursor {
@@ -298,15 +306,15 @@ impl TraceSource for SharedCursor {
     }
 
     fn wrong_path_run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
-        match &mut self.synth {
-            Some(synth) => synth.run(pc, max),
+        match &mut self.wrong_path {
+            Some(tape) => tape.run(pc, max),
             None => (max, None),
         }
     }
 
     fn wrong_path_skip(&mut self, n: u64) {
-        if let Some(synth) = &mut self.synth {
-            synth.skip(n);
+        if let Some(tape) = &mut self.wrong_path {
+            tape.skip(n);
         }
     }
 
@@ -315,7 +323,7 @@ impl TraceSource for SharedCursor {
     }
 
     fn wrong_path_spec(&self) -> Option<WrongPathSpec> {
-        self.stream.wrong_path
+        self.stream.wrong_path_spec()
     }
 }
 
@@ -325,6 +333,7 @@ mod tests {
     use crate::inst::InstBuilder;
     use crate::op::OpClass;
     use crate::trace::VecTrace;
+    use crate::wrongpath::WrongPathSynth;
 
     fn mk(n: usize) -> Vec<DynInst> {
         (0..n)
@@ -441,7 +450,7 @@ mod tests {
             load_rate: 0.3,
         };
         let stream = Arc::new(SharedStream {
-            wrong_path: Some(spec),
+            wrong_path: Some(Arc::new(WrongPathTape::new(spec))),
             ..SharedStream::capture(&mut VecTrace::new(mk(1)), 1)
         });
         let mut cursor = stream.cursor();
@@ -460,6 +469,97 @@ mod tests {
             );
         }
     }
+    /// Draws wrong-path runs through `run` until `demand` positions are
+    /// read, returning every load drawn with its position.
+    fn read_wrong_path(
+        mut run: impl FnMut(u64, u64) -> (u64, Option<DynInst>),
+        demand: u64,
+    ) -> Vec<(u64, DynInst)> {
+        let mut loads = Vec::new();
+        let mut pos = 0;
+        while pos < demand {
+            let (count, load) = run(0x4000_0000 + 4 * pos, demand - pos);
+            pos += count;
+            if let Some(load) = load {
+                loads.push((pos, load));
+                pos += 1;
+            }
+        }
+        loads
+    }
+
+    /// A one-instruction stream over a fresh tape of `spec`.
+    fn stream_of(spec: WrongPathSpec) -> Arc<SharedStream> {
+        Arc::new(SharedStream {
+            wrong_path: Some(Arc::new(WrongPathTape::new(spec))),
+            ..SharedStream::capture(&mut VecTrace::new(mk(1)), 1)
+        })
+    }
+
+    #[test]
+    fn the_tape_is_drawn_once_to_the_deepest_demand() {
+        use crate::tape::CHUNK_LEN;
+        let spec = WrongPathSpec {
+            seed: 29,
+            region_base: 0x2_0000,
+            region_size: 1 << 20,
+            load_rate: 0.25,
+        };
+        // The deepest demand ends inside a chunk, then on a chunk boundary.
+        for deepest in [3 * CHUNK_LEN + 1, 3 * CHUNK_LEN] {
+            let demands = [1_000, CHUNK_LEN + 70, deepest];
+            let mut synth = WrongPathSynth::from_spec(spec);
+            let want = read_wrong_path(|pc, max| synth.run(pc, max), deepest);
+            let check = |demand: u64, loads: Vec<(u64, DynInst)>| {
+                let prefix: Vec<_> = want
+                    .iter()
+                    .filter(|(at, _)| *at < demand)
+                    .copied()
+                    .collect();
+                assert_eq!(loads, prefix, "a cursor read {demand} positions");
+            };
+            let chunks = deepest.div_ceil(CHUNK_LEN) as usize;
+            let drawn = |stream: &SharedStream| stream.wrong_path.as_ref().unwrap().chunks_drawn();
+
+            // On one thread, the shallowest cursor draws first, then the
+            // deepest.
+            for order in [demands, [deepest, CHUNK_LEN + 70, 1_000]] {
+                let one_thread = stream_of(spec);
+                for demand in order {
+                    let mut cursor = one_thread.cursor();
+                    check(
+                        demand,
+                        read_wrong_path(|pc, max| cursor.wrong_path_run(pc, max), demand),
+                    );
+                }
+                assert_eq!(drawn(&one_thread), chunks, "{order:?}, one thread");
+            }
+
+            let threads = stream_of(spec);
+            let start = std::sync::Barrier::new(demands.len());
+            std::thread::scope(|scope| {
+                let reads: Vec<_> = demands
+                    .iter()
+                    .map(|&demand| {
+                        let mut cursor = threads.cursor();
+                        let start = &start;
+                        scope.spawn(move || {
+                            start.wait();
+                            let loads =
+                                read_wrong_path(|pc, max| cursor.wrong_path_run(pc, max), demand);
+                            (demand, loads)
+                        })
+                    })
+                    .collect();
+                for read in reads {
+                    let (demand, loads) = read.join().unwrap();
+                    check(demand, loads);
+                }
+            });
+            assert_eq!(drawn(&threads), chunks, "three threads, deepest {deepest}");
+        }
+    }
+
     #[test]
     fn sparse_capture_holds_only_its_ranges() {
         let insts = mk(100);

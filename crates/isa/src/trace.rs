@@ -51,7 +51,10 @@ pub trait TraceSource: Send {
     /// The default does nothing, like the default run: sources with no
     /// wrong-path spec draw nothing. Every source that overrides
     /// `wrong_path_run` with a [`crate::wrongpath::WrongPathSynth`] must
-    /// override this with [`crate::wrongpath::WrongPathSynth::skip`].
+    /// override this with [`crate::wrongpath::WrongPathSynth::skip`], which
+    /// makes the skipped draws; a [`crate::SharedCursor`] reads its
+    /// capture's wrong path from a tape drawn once for all its cursors, so
+    /// its skip only moves its position on the tape.
     fn wrong_path_skip(&mut self, _n: u64) {}
 
     /// A short human-readable name for reports.

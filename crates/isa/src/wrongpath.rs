@@ -13,10 +13,12 @@
 //! wrong-path instructions, and a replaying [`crate::etrc::FileTrace`]
 //! reconstructs a synthesizer that produces the exact same stream the
 //! generator would have — wrong-path demand depends on simulated timing, so
-//! it cannot be captured as a flat record sequence.
+//! it cannot be captured as a flat record sequence. The same purity lets a
+//! [`crate::SharedStream`] draw its source's stream once, as a tape that
+//! every cursor over the capture reads as far as its own demand goes.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::inst::{DynInst, InstBuilder};
 use crate::op::OpClass;
@@ -52,6 +54,25 @@ pub struct WrongPathSpec {
 pub struct WrongPathSynth {
     rng: SmallRng,
     spec: WrongPathSpec,
+    /// `⌈load_rate · 2^53⌉`: a position is a load when the top 53 bits of
+    /// its draw fall below it (see [`load_threshold`]).
+    load_below: u64,
+}
+
+/// The integer form of `gen_bool(p)`: `gen_bool` compares the top 53 bits
+/// `m` of a draw as `m · 2^-53 < p`, which is exact in `f64`, so it holds
+/// exactly when `m < ⌈p · 2^53⌉` (also exact: scaling by a power of two
+/// and `ceil` lose nothing, and `p ≤ 1` keeps the result within 2^53).
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]`, as `gen_bool` would.
+fn load_threshold(p: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "wrong-path load_rate = {p} out of range"
+    );
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl WrongPathSynth {
@@ -75,6 +96,7 @@ impl WrongPathSynth {
                 region_size: spec.region_size.max(64),
                 ..spec
             },
+            load_below: load_threshold(spec.load_rate),
         }
     }
 
@@ -89,14 +111,13 @@ impl WrongPathSynth {
     /// This is the per-instruction definition of the stream:
     /// [`WrongPathSynth::run`] draws the same instructions in bulk.
     pub fn inst(&mut self, pc: u64) -> DynInst {
-        if self.rng.gen_bool(self.spec.load_rate) {
-            self.load(pc)
-        } else {
-            InstBuilder::alu(pc, OpClass::IntAlu)
+        match self.draw() {
+            Some(offset) => wrong_path_load(pc, self.spec.region_base + offset),
+            None => InstBuilder::alu(pc, OpClass::IntAlu)
                 .dst(ArchReg::int(9))
                 .src(ArchReg::int(9))
                 .wrong_path(true)
-                .build()
+                .build(),
         }
     }
 
@@ -106,12 +127,13 @@ impl WrongPathSynth {
     /// None)` when no load was drawn.
     ///
     /// The RNG draws are exactly those of the same number of
-    /// [`WrongPathSynth::inst`] calls — one `gen_bool` per instruction plus
-    /// a `gen_range` per load — but only the load is built.
+    /// [`WrongPathSynth::inst`] calls — one Bernoulli draw per instruction
+    /// plus a `gen_range` per load — but only the load is built.
     pub fn run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
         for count in 0..max {
-            if self.rng.gen_bool(self.spec.load_rate) {
-                return (count, Some(self.load(pc + 4 * count)));
+            if let Some(offset) = self.draw() {
+                let load = wrong_path_load(pc + 4 * count, self.spec.region_base + offset);
+                return (count, Some(load));
             }
         }
         (max, None)
@@ -119,33 +141,39 @@ impl WrongPathSynth {
 
     /// Draws `n` wrong-path instructions and builds none of them: the RNG
     /// draws are exactly those of `n` [`WrongPathSynth::inst`] calls (one
-    /// `gen_bool` per instruction plus a `gen_range` per load).
+    /// Bernoulli draw per instruction plus a `gen_range` per load).
     pub fn skip(&mut self, n: u64) {
         for _ in 0..n {
-            if self.rng.gen_bool(self.spec.load_rate) {
-                self.load_offset();
-            }
+            self.draw();
         }
     }
 
-    /// The byte offset of a load into the probed region (one RNG draw).
-    fn load_offset(&mut self) -> u64 {
-        self.rng.gen_range(0..self.spec.region_size / 8) * 8
+    /// Draws the next position of the stream: the byte offset into the
+    /// probed region when it is a load, `None` when it is an ALU op. The
+    /// Bernoulli draw is `gen_bool(load_rate)` as one integer compare.
+    pub(crate) fn draw(&mut self) -> Option<u64> {
+        if self.rng.next_u64() >> 11 < self.load_below {
+            Some(self.rng.gen_range(0..self.spec.region_size / 8) * 8)
+        } else {
+            None
+        }
     }
+}
 
-    fn load(&mut self, pc: u64) -> DynInst {
-        let offset = self.load_offset();
-        InstBuilder::load(pc, self.spec.region_base + offset, 8)
-            .dst(ArchReg::int(9))
-            .src(ArchReg::int(8))
-            .wrong_path(true)
-            .build()
-    }
+/// The wrong-path load at `pc` reading 8 bytes at `addr`.
+pub(crate) fn wrong_path_load(pc: u64, addr: u64) -> DynInst {
+    InstBuilder::load(pc, addr, 8)
+        .dst(ArchReg::int(9))
+        .src(ArchReg::int(8))
+        .wrong_path(true)
+        .build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tape::{TapeCursor, WrongPathTape, CHUNK_LEN};
+    use std::sync::Arc;
 
     #[test]
     fn equal_specs_produce_identical_streams() {
@@ -226,21 +254,32 @@ mod tests {
         /// Interleaved `run`, `skip` and `inst` calls with arbitrary bounds
         /// yield the loads a reference loop of `inst` calls yields, at the
         /// same PCs, and leave the RNG in the same state — also at load
-        /// rates 0 and 1, where every draw goes one way.
+        /// rates 0 and 1, where every draw goes one way. A cursor on a
+        /// wrong-path tape of the same spec makes the same runs and skips
+        /// (an `inst` is a run of one), through skips that park it just
+        /// before a chunk boundary so that runs cross it.
         #[test]
         fn runs_match_a_reference_loop_of_inst_calls(
             seed in 0u64..1_000,
             rate in 0.0f64..1.0,
             rate_pick in 0u8..4,
-            ops in proptest::collection::vec((0u8..3, 0u64..64), 1..40),
+            ops in proptest::collection::vec((0u8..4, 0u64..64), 1..40),
         ) {
             let load_rate = match rate_pick {
                 0 => 0.0,
                 1 => 1.0,
                 _ => rate,
             };
-            let mut bulk = WrongPathSynth::new(seed, 0x8000, 4096, load_rate);
+            let spec = WrongPathSpec {
+                seed,
+                region_base: 0x8000,
+                region_size: 4096,
+                load_rate,
+            };
+            let mut bulk = WrongPathSynth::from_spec(spec);
             let mut reference = bulk.clone();
+            let mut tape = TapeCursor::new(Arc::new(WrongPathTape::new(spec)));
+            let mut pos = 0u64;
             let mut pc = 0x4000_0000u64;
             for (op, n) in ops {
                 match op {
@@ -255,22 +294,86 @@ mod tests {
                             }
                         }
                         proptest::prop_assert_eq!((count, load), want);
-                        pc += 4 * (count + u64::from(load.is_some()));
+                        proptest::prop_assert_eq!(tape.run(pc, n), want);
+                        let taken = count + u64::from(load.is_some());
+                        pc += 4 * taken;
+                        pos += taken;
                     }
-                    1 => {
+                    1 | 3 => {
+                        // Op 3 parks the position `n` short of the next
+                        // chunk boundary, far enough away to cross one.
+                        let n = if op == 1 {
+                            n
+                        } else {
+                            (CHUNK_LEN - pos % CHUNK_LEN + CHUNK_LEN - n) % CHUNK_LEN
+                        };
                         bulk.skip(n);
+                        tape.skip(n);
                         for i in 0..n {
                             reference.inst(pc + 4 * i);
                         }
                         pc += 4 * n;
+                        pos += n;
                     }
                     _ => {
-                        proptest::prop_assert_eq!(bulk.inst(pc), reference.inst(pc));
+                        let inst = bulk.inst(pc);
+                        proptest::prop_assert_eq!(inst, reference.inst(pc));
+                        let want = if inst.is_mem() { (0, Some(inst)) } else { (1, None) };
+                        proptest::prop_assert_eq!(tape.run(pc, 1), want);
                         pc += 4;
+                        pos += 1;
                     }
                 }
                 proptest::prop_assert_eq!(&bulk.rng, &reference.rng);
             }
+            // The tape and the synthesizer end at one position: the next
+            // long run agrees.
+            proptest::prop_assert_eq!(tape.run(pc, 10_000), bulk.run(pc, 10_000));
+        }
+
+        /// The integer Bernoulli draw equals `gen_bool` for any draw `x`
+        /// and rate `p`: random rates, rates where `p · 2^53` is an integer
+        /// (the threshold is then not rounded up), dyadic rates, and 0,
+        /// 0.25 and 1, with draws at and next to the threshold.
+        #[test]
+        fn integer_threshold_matches_gen_bool(
+            x in 0u64..u64::MAX,
+            random in 0.0f64..1.0,
+            k in 0u64..(1u64 << 53),
+            j in 1u32..53,
+            pick in 0u8..6,
+            near in 0u8..4,
+        ) {
+            let p = match pick {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 0.25,
+                3 => random,
+                4 => k as f64 / (1u64 << 53) as f64,
+                _ => (k >> (53 - j)) as f64 / (1u64 << j) as f64,
+            };
+            let t = load_threshold(p);
+            let low = x & 0x7ff;
+            let x = match near {
+                0 => x,
+                1 => (t.saturating_sub(1) << 11) | low,
+                2 => (t.min((1 << 53) - 1) << 11) | low,
+                _ => ((t + 1).min((1 << 53) - 1) << 11) | low,
+            };
+            proptest::prop_assert_eq!(x >> 11 < t, Fixed(x).gen_bool(p), "p = {}", p);
+        }
+    }
+
+    /// An RNG that always draws the same word.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0
         }
     }
 

@@ -59,7 +59,14 @@ fn svw_configs_are_deterministic() {
 
 /// The suite driver must be observably identical — results *and* ordering
 /// — to the sequential reference loop for both workload classes,
-/// regardless of how many workers the work-stealing pool spins up.
+/// regardless of how many workers the work-stealing pool spins up. The
+/// batch holds configurations that fetch different depths of wrong path,
+/// so their jobs, spread over the workers, reach the capture's shared
+/// wrong-path tape in different orders; each point must still match its
+/// solo run, which draws its wrong path from the workload's own
+/// synthesizer. The INT points fetch 12k–45k wrong-path positions each,
+/// many chunks of the tape, so the order in which workers draw its chunks
+/// varies too.
 #[test]
 fn parallel_driver_matches_sequential_driver() {
     use elsq_sim::driver::{run_points, ExperimentParams, RunCtx};
@@ -69,27 +76,42 @@ fn parallel_driver_matches_sequential_driver() {
         seed: SEED,
         sample: None,
     };
-    for cfg in [CpuConfig::ooo64(), CpuConfig::fmc_hash(true)] {
-        for class in [WorkloadClass::Fp, WorkloadClass::Int] {
-            let sequential: Vec<SimResult> = suite(class, SEED)
-                .into_iter()
-                .map(|mut w| Processor::new(cfg).run(w.as_mut(), COMMITS))
-                .collect();
-            for workers in [1, 2, 4, 6] {
-                let parallel = run_points(&RunCtx::new(workers), &[("", cfg)], class, &params)
-                    .remove(0)
-                    .unwrap();
+    let points = [
+        ("ooo64", CpuConfig::ooo64()),
+        ("fmc_hash", CpuConfig::fmc_hash(true)),
+        ("fmc_central_ideal", CpuConfig::fmc_central_ideal()),
+    ];
+    for class in [WorkloadClass::Fp, WorkloadClass::Int] {
+        let solo: Vec<Vec<SimResult>> = points
+            .iter()
+            .map(|(_, cfg)| {
+                suite(class, SEED)
+                    .into_iter()
+                    .map(|mut w| Processor::new(*cfg).run(w.as_mut(), COMMITS))
+                    .collect()
+            })
+            .collect();
+        for workers in [1, 2, 4, 6] {
+            let batch = run_points(&RunCtx::new(workers), &points, class, &params);
+            for ((label, _), (outcome, sequential)) in
+                points.iter().zip(batch.into_iter().zip(&solo))
+            {
+                let parallel = outcome.unwrap();
                 assert_eq!(
                     parallel.len(),
                     sequential.len(),
-                    "{class}/{workers} workers: result count diverged"
+                    "{label}/{class}/{workers} workers: result count diverged"
                 );
-                for (p, s) in parallel.iter().zip(&sequential) {
+                for (p, s) in parallel.iter().zip(sequential) {
                     assert_eq!(
                         p.workload, s.workload,
-                        "{class}/{workers} workers: ordering diverged"
+                        "{label}/{class}/{workers} workers: ordering diverged"
                     );
-                    assert_eq!(p, s, "{class}/{workers} workers: {} diverged", s.workload);
+                    assert_eq!(
+                        p, s,
+                        "{label}/{class}/{workers} workers: {} diverged",
+                        s.workload
+                    );
                 }
             }
         }
