@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use elsq_isa::MemAccess;
 use elsq_stats::counters::LsqAccessCounters;
 
-use crate::queue::{AgeQueue, ForwardHit, MemOpKind, QueueFullError};
+use crate::queue::{AgeQueue, LoadOutcome, MemOpKind, QueueFullError, StoreOutcome};
 
 /// Configuration of a central LSQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,14 +60,9 @@ impl CentralLsqConfig {
     }
 }
 
-/// Outcome of a load issuing into a central LSQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CentralLoadOutcome {
-    /// Forwarding hit, if an older overlapping store was found.
-    pub forward: Option<ForwardHit>,
-    /// Whether any older store still had an unknown address at issue time.
-    pub older_unknown_store: bool,
-}
+/// Cycles one search of a central queue takes: both baselines search in a
+/// single cycle.
+const SEARCH_LATENCY: u32 = 1;
 
 /// A conventional central load/store queue.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,11 +86,6 @@ impl CentralLsq {
             sq: mk(config.sq_entries),
             counters: LsqAccessCounters::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CentralLsqConfig {
-        &self.config
     }
 
     /// Access counters (searches of each queue).
@@ -125,10 +115,11 @@ impl CentralLsq {
 
     /// A load issues: record its address, search the store queue for
     /// forwarding, and report whether older unknown-address stores exist.
+    /// The search takes one cycle.
     ///
     /// Counts one HL-SQ search (the central queues are reported in the HL
     /// columns of Table 2, matching the paper's OoO-64 rows).
-    pub fn issue_load(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> CentralLoadOutcome {
+    pub fn issue_load(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> LoadOutcome {
         self.lq.set_address(seq, addr);
         self.lq.set_issued(seq, cycle);
         self.counters.hl_sq_searches += 1;
@@ -136,26 +127,33 @@ impl CentralLsq {
         if forward.is_some() {
             self.counters.local_forwards += 1;
         }
-        CentralLoadOutcome {
+        LoadOutcome {
             forward,
+            extra_latency: SEARCH_LATENCY,
+            lock_conflict: false,
             older_unknown_store: self.sq.has_older_unknown_address(seq),
         }
     }
 
     /// A store's address becomes known: record it and (if the load queue is
     /// associative) search for younger issued loads that violated ordering.
-    pub fn store_address_ready(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> Option<u64> {
+    /// The store pays the one-cycle search latency either way.
+    pub fn store_address_ready(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> StoreOutcome {
         self.sq.set_address(seq, addr);
         self.sq.set_issued(seq, cycle);
+        let mut out = StoreOutcome {
+            extra_latency: SEARCH_LATENCY,
+            ..StoreOutcome::default()
+        };
         if !self.config.associative_lq {
-            return None;
+            return out;
         }
         self.counters.hl_lq_searches += 1;
-        let violation = self.lq.find_violating_load(seq, &addr);
-        if violation.is_some() {
+        out.violation_load_seq = self.lq.find_violating_load(seq, &addr);
+        if out.violation_load_seq.is_some() {
             self.counters.order_violations += 1;
         }
-        violation
+        out
     }
 
     /// Whether any store between `store_seq` and `load_seq` has an unknown
@@ -176,16 +174,19 @@ impl CentralLsq {
     pub fn squash_from(&mut self, from_seq: u64) -> usize {
         self.lq.squash_from(from_seq) + self.sq.squash_from(from_seq)
     }
-
-    /// Current load/store occupancy.
-    pub fn occupancy(&self) -> (usize, usize) {
-        (self.lq.len(), self.sq.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::ForwardHit;
+
+    impl CentralLsq {
+        /// Current load/store occupancy.
+        fn occupancy(&self) -> (usize, usize) {
+            (self.lq.len(), self.sq.len())
+        }
+    }
 
     fn acc(a: u64) -> MemAccess {
         MemAccess::new(a, 8)
@@ -226,13 +227,67 @@ mod tests {
         let mut lsq = CentralLsq::new(CentralLsqConfig::conventional());
         lsq.allocate(MemOpKind::Store, 1).unwrap();
         lsq.allocate(MemOpKind::Load, 2).unwrap();
-        assert!(lsq.store_address_ready(1, acc(0x80), 5).is_none());
+        assert!(lsq
+            .store_address_ready(1, acc(0x80), 5)
+            .violation_load_seq
+            .is_none());
         let out = lsq.issue_load(2, acc(0x80), 6);
         assert_eq!(out.forward.unwrap().store_seq, 1);
         assert!(!out.older_unknown_store);
         assert_eq!(lsq.counters().hl_sq_searches, 1);
         assert_eq!(lsq.counters().hl_lq_searches, 1);
         assert_eq!(lsq.counters().local_forwards, 1);
+    }
+
+    #[test]
+    fn forwards_flag_a_partial_cover_and_every_search_takes_one_cycle() {
+        for config in [
+            CentralLsqConfig::conventional(),
+            CentralLsqConfig::unlimited(),
+        ] {
+            let mut lsq = CentralLsq::new(config);
+            for (kind, seq) in [
+                (MemOpKind::Store, 1),
+                (MemOpKind::Load, 2),
+                (MemOpKind::Load, 3),
+            ] {
+                lsq.allocate(kind, seq).unwrap();
+            }
+            let store = lsq.store_address_ready(1, acc(0x100), 5);
+            assert_eq!(
+                store,
+                StoreOutcome {
+                    violation_load_seq: None,
+                    extra_latency: 1,
+                    lock_conflict: false,
+                }
+            );
+            // An 8-byte load at the store's address + 4 overlaps only half of
+            // the store.
+            let forward = ForwardHit {
+                store_seq: 1,
+                full_cover: false,
+                data_ready_at: 5,
+            };
+            assert_eq!(
+                lsq.issue_load(2, acc(0x104), 6),
+                LoadOutcome {
+                    forward: Some(forward),
+                    extra_latency: 1,
+                    lock_conflict: false,
+                    older_unknown_store: false,
+                }
+            );
+            let covered = lsq.issue_load(3, acc(0x100), 7);
+            assert_eq!(
+                covered.forward,
+                Some(ForwardHit {
+                    full_cover: true,
+                    ..forward
+                })
+            );
+            assert_eq!(covered.extra_latency, 1);
+        }
     }
 
     #[test]
@@ -245,7 +300,10 @@ mod tests {
         let out = lsq.issue_load(2, acc(0x100), 3);
         assert!(out.forward.is_none());
         assert!(out.older_unknown_store);
-        assert_eq!(lsq.store_address_ready(1, acc(0x100), 9), Some(2));
+        assert_eq!(
+            lsq.store_address_ready(1, acc(0x100), 9).violation_load_seq,
+            Some(2)
+        );
         assert_eq!(lsq.counters().order_violations, 1);
     }
 
@@ -255,7 +313,10 @@ mod tests {
         lsq.allocate(MemOpKind::Store, 1).unwrap();
         lsq.allocate(MemOpKind::Load, 2).unwrap();
         lsq.issue_load(2, acc(0x100), 3);
-        assert_eq!(lsq.store_address_ready(1, acc(0x100), 9), None);
+        assert_eq!(
+            lsq.store_address_ready(1, acc(0x100), 9).violation_load_seq,
+            None
+        );
         assert_eq!(lsq.counters().hl_lq_searches, 0);
     }
 

@@ -26,7 +26,7 @@ pub enum ErtKind {
 
 impl ErtKind {
     /// Number of entries of the resulting table (per load/store table).
-    pub fn entries(&self, l1_lines: u64) -> u64 {
+    pub(crate) fn entries(&self, l1_lines: u64) -> u64 {
         match self {
             ErtKind::Line => l1_lines,
             ErtKind::Hash { bits } => 1u64 << bits,
@@ -134,16 +134,6 @@ impl Default for ElsqConfig {
 }
 
 impl ElsqConfig {
-    /// Total low-locality load capacity across all epochs.
-    pub fn total_ll_loads(&self) -> usize {
-        self.num_epochs * self.epoch_max_loads
-    }
-
-    /// Total low-locality store capacity across all epochs.
-    pub fn total_ll_stores(&self) -> usize {
-        self.num_epochs * self.epoch_max_stores
-    }
-
     /// Builder-style: sets the ERT kind.
     pub fn with_ert(mut self, ert: ErtKind) -> Self {
         self.ert = ert;
@@ -242,8 +232,8 @@ mod tests {
     #[test]
     fn ll_capacity_totals() {
         let c = ElsqConfig::default();
-        assert_eq!(c.total_ll_loads(), 1024);
-        assert_eq!(c.total_ll_stores(), 512);
+        assert_eq!(c.num_epochs * c.epoch_max_loads, 1024);
+        assert_eq!(c.num_epochs * c.epoch_max_stores, 512);
     }
 
     #[test]

@@ -63,15 +63,8 @@ impl DisambiguationModel {
     /// Under restricted SAC, stores only compute addresses in the
     /// high-locality level, so only the HL-LQ can hold violated loads and no
     /// global load search is necessary (Section 5.5).
-    pub fn needs_load_ert(&self) -> bool {
+    pub(crate) fn needs_load_ert(&self) -> bool {
         !self.store_blocks_migration()
-    }
-
-    /// Whether the low-locality load queues must be associative. Equivalent
-    /// to [`DisambiguationModel::needs_load_ert`] — restricted SAC removes the
-    /// large associative load queue entirely.
-    pub fn needs_associative_ll_lq(&self) -> bool {
-        self.needs_load_ert()
     }
 }
 
@@ -116,7 +109,6 @@ mod tests {
         assert!(RestrictedLac.needs_load_ert());
         assert!(!RestrictedSac.needs_load_ert());
         assert!(!RestrictedSacLac.needs_load_ert());
-        assert_eq!(Full.needs_associative_ll_lq(), Full.needs_load_ert());
     }
 
     #[test]

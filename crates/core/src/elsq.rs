@@ -17,9 +17,15 @@
 //! * a store whose address resolves checks younger issued loads the same
 //!   way (local queue, then Load-ERT, plus the HL-LQ for low-locality
 //!   stores);
-//! * when an epoch commits or is squashed its ERT column is cleared in one
-//!   step, its mirrored stores are dropped and (for the line-based ERT) its
-//!   locked L1 lines are released.
+//! * when the oldest epoch commits its ERT column is cleared in one step,
+//!   its mirrored stores are dropped and (for the line-based ERT) its locked
+//!   L1 lines are released.
+//!
+//! Epochs are never squashed. The paper recovers from an ordering violation
+//! or a line-lock conflict by squashing epochs back to a checkpoint (Section
+//! 4.1); here the outcome only reports the violation or conflict, the
+//! timing loop charges it as a fetch bubble, and every epoch leaves through
+//! [`Elsq::retire_oldest_epoch`].
 //!
 //! The processor model in `elsq-cpu` drives these methods and folds the
 //! returned latencies into instruction completion times.
@@ -36,7 +42,7 @@ use crate::ert::Ert;
 use crate::fxhash::FxHashMap;
 use crate::hl::HlLsq;
 use crate::ll::LlLsq;
-use crate::queue::{MemEntry, MemOpKind, QueueFullError};
+use crate::queue::{LoadOutcome, MemEntry, MemOpKind, QueueFullError, StoreOutcome};
 use crate::sqm::StoreQueueMirror;
 
 /// The L1 lines one epoch bank holds locked (line-based ERT only).
@@ -96,56 +102,6 @@ impl Deserialize for LineLockSet {
         }
         Ok(set)
     }
-}
-
-/// Where a load obtained its value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwardSource {
-    /// From the high-locality store queue.
-    HighLocality,
-    /// From a store in the load's own epoch (local disambiguation).
-    LocalEpoch,
-    /// From a store in a remote epoch, found through the ERT (and the SQM
-    /// when present).
-    RemoteEpoch,
-}
-
-/// Outcome of a load issue (either level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadIssueOutcome {
-    /// Sequence number of the store the load forwards from, if any.
-    pub forwarded_from: Option<u64>,
-    /// Where the forwarding store was found.
-    pub forward_source: Option<ForwardSource>,
-    /// Cycle at which the forwarding store's data is (or was) available; the
-    /// load cannot complete earlier.
-    pub forward_ready_at: Option<u64>,
-    /// The forwarding store only partially covers the load; the load must
-    /// wait for that store to commit to memory (Section 2.1).
-    pub partial_overlap_with: Option<u64>,
-    /// Latency beyond the L1 access implied by filter lookups, network trips
-    /// and remote searches.
-    pub extra_latency: u32,
-    /// Line-based ERT only: the load's line could not be locked because the
-    /// whole set is locked by younger instructions — the window must be
-    /// squashed from this load (Section 3.4).
-    pub lock_conflict_squash: bool,
-    /// Whether any older store (in any level) still had an unknown address
-    /// when the load issued — needed by the SVW CheckStores filter.
-    pub older_unknown_store: bool,
-}
-
-/// Outcome of a store address resolution (either level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreResolveOutcome {
-    /// Oldest younger load that already issued with an overlapping address —
-    /// a store-load ordering violation; the window must be squashed from it.
-    pub violation_load_seq: Option<u64>,
-    /// Latency implied by the violation checks (network trips, searches).
-    pub extra_latency: u32,
-    /// Line-based ERT only: the store's line could not be locked while
-    /// issuing from the LL-LSQ — squash required.
-    pub lock_conflict_squash: bool,
 }
 
 /// Why a migration request could not be satisfied.
@@ -225,11 +181,6 @@ impl Elsq {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ElsqConfig {
-        &self.config
-    }
-
     /// Accumulated access counters.
     pub fn counters(&self) -> &LsqAccessCounters {
         &self.counters
@@ -240,11 +191,6 @@ impl Elsq {
     /// (Figure 11).
     pub fn ll_active(&self) -> bool {
         !self.ll.is_idle()
-    }
-
-    /// Number of live epochs.
-    pub fn live_epochs(&self) -> usize {
-        self.ll.live_epochs()
     }
 
     /// Total number of epochs allocated over the run.
@@ -289,18 +235,13 @@ impl Elsq {
         self.hl.allocate(kind, seq)
     }
 
-    /// Current HL occupancy `(loads, stores)`.
-    pub fn hl_occupancy(&self) -> (usize, usize) {
-        (self.hl.load_count(), self.hl.store_count())
-    }
-
     /// A high-locality store's address (and data) become available.
     pub fn hl_store_address_ready(
         &mut self,
         seq: u64,
         addr: MemAccess,
         cycle: u64,
-    ) -> StoreResolveOutcome {
+    ) -> StoreOutcome {
         self.hl.set_address(MemOpKind::Store, seq, addr);
         self.hl.set_issued(MemOpKind::Store, seq, cycle);
         if let Some(block) = self.migration_block {
@@ -322,16 +263,16 @@ impl Elsq {
         } else {
             None
         };
-        StoreResolveOutcome {
+        StoreOutcome {
             violation_load_seq: violation,
             extra_latency: self.config.search_latency,
-            lock_conflict_squash: false,
+            lock_conflict: false,
         }
     }
 
     /// A high-locality load issues: local HL-SQ search, then the ERT/SQM path
     /// for forwarding from low-locality stores.
-    pub fn issue_hl_load(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> LoadIssueOutcome {
+    pub fn issue_hl_load(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> LoadOutcome {
         self.hl.set_address(MemOpKind::Load, seq, addr);
         self.hl.set_issued(MemOpKind::Load, seq, cycle);
         if let Some(block) = self.migration_block {
@@ -339,27 +280,17 @@ impl Elsq {
                 self.migration_block = None;
             }
         }
-        let mut out = LoadIssueOutcome {
-            forwarded_from: None,
-            forward_source: None,
-            forward_ready_at: None,
-            partial_overlap_with: None,
-            extra_latency: 0,
-            lock_conflict_squash: false,
+        let mut out = LoadOutcome {
             older_unknown_store: self.hl.has_older_unknown_store(seq)
                 || self.ll.has_unresolved_stores(),
+            ..LoadOutcome::default()
         };
         // Level 1: the local (high-locality) store queue.
         self.counters.hl_sq_searches += 1;
         if let Some(hit) = self.hl.search_stores(seq, &addr) {
             self.counters.local_forwards += 1;
-            out.forwarded_from = Some(hit.store_seq);
-            out.forward_source = Some(ForwardSource::HighLocality);
-            out.forward_ready_at = Some(hit.data_ready_at);
+            out.forward = Some(hit);
             out.extra_latency = self.config.search_latency;
-            if !hit.full_cover {
-                out.partial_overlap_with = Some(hit.store_seq);
-            }
             return out;
         }
         // Level 2: global disambiguation through the ERT, only while the
@@ -383,12 +314,7 @@ impl Elsq {
                 Some(hit) => {
                     self.counters.global_forwards += 1;
                     self.counters.ert_true_positives += 1;
-                    out.forwarded_from = Some(hit.entry.seq);
-                    out.forward_source = Some(ForwardSource::RemoteEpoch);
-                    out.forward_ready_at = Some(hit.entry.ready_at);
-                    if !hit.full_cover {
-                        out.partial_overlap_with = Some(hit.entry.seq);
-                    }
+                    out.forward = Some(hit.forward());
                 }
                 None => {
                     self.counters.ert_false_positives += 1;
@@ -420,12 +346,7 @@ impl Elsq {
             Some(hit) => {
                 self.counters.global_forwards += 1;
                 self.counters.ert_true_positives += 1;
-                out.forwarded_from = Some(hit.store_seq);
-                out.forward_source = Some(ForwardSource::RemoteEpoch);
-                out.forward_ready_at = Some(hit.data_ready_at);
-                if !hit.full_cover {
-                    out.partial_overlap_with = Some(hit.store_seq);
-                }
+                out.forward = Some(hit);
             }
             None => {
                 self.counters.ert_false_positives += 1;
@@ -462,22 +383,6 @@ impl Elsq {
         } else {
             None
         }
-    }
-
-    /// The bank index of the youngest epoch, if any.
-    pub fn youngest_epoch(&self) -> Option<usize> {
-        self.ll.youngest_bank()
-    }
-
-    /// The bank index of the oldest epoch, if any.
-    pub fn oldest_epoch(&self) -> Option<usize> {
-        self.ll.oldest_bank()
-    }
-
-    /// Whether migration is currently blocked by a restricted-disambiguation
-    /// stall.
-    pub fn migration_blocked(&self) -> bool {
-        self.migration_block.is_some()
     }
 
     /// Migrates the high-locality memory instruction `seq` of `kind` into the
@@ -578,15 +483,10 @@ impl Elsq {
         addr: MemAccess,
         cycle: u64,
         l1: Option<&mut SetAssocCache>,
-    ) -> LoadIssueOutcome {
-        let mut out = LoadIssueOutcome {
-            forwarded_from: None,
-            forward_source: None,
-            forward_ready_at: None,
-            partial_overlap_with: None,
-            extra_latency: 0,
-            lock_conflict_squash: false,
+    ) -> LoadOutcome {
+        let mut out = LoadOutcome {
             older_unknown_store: self.ll.has_unresolved_stores(),
+            ..LoadOutcome::default()
         };
         if let Some(block) = self.migration_block {
             if block == seq {
@@ -600,7 +500,7 @@ impl Elsq {
             match cache.lock_line(addr.addr) {
                 LockOutcome::SetFull => {
                     self.counters.lock_conflict_squashes += 1;
-                    out.lock_conflict_squash = true;
+                    out.lock_conflict = true;
                     return out;
                 }
                 _ => {
@@ -628,12 +528,7 @@ impl Elsq {
             .and_then(|e| e.search_stores(seq, &addr))
         {
             self.counters.local_forwards += 1;
-            out.forwarded_from = Some(hit.store_seq);
-            out.forward_source = Some(ForwardSource::LocalEpoch);
-            out.forward_ready_at = Some(hit.data_ready_at);
-            if !hit.full_cover {
-                out.partial_overlap_with = Some(hit.store_seq);
-            }
+            out.forward = Some(hit);
             return out;
         }
         // Global disambiguation: consult the ERT at the Cache Processor.
@@ -653,12 +548,7 @@ impl Elsq {
                 Some(hit) => {
                     self.counters.global_forwards += 1;
                     self.counters.ert_true_positives += 1;
-                    out.forwarded_from = Some(hit.entry.seq);
-                    out.forward_source = Some(ForwardSource::RemoteEpoch);
-                    out.forward_ready_at = Some(hit.entry.ready_at);
-                    if !hit.full_cover {
-                        out.partial_overlap_with = Some(hit.entry.seq);
-                    }
+                    out.forward = Some(hit.forward());
                 }
                 None => self.counters.ert_false_positives += 1,
             }
@@ -689,12 +579,7 @@ impl Elsq {
             Some(hit) => {
                 self.counters.global_forwards += 1;
                 self.counters.ert_true_positives += 1;
-                out.forwarded_from = Some(hit.store_seq);
-                out.forward_source = Some(ForwardSource::RemoteEpoch);
-                out.forward_ready_at = Some(hit.data_ready_at);
-                if !hit.full_cover {
-                    out.partial_overlap_with = Some(hit.store_seq);
-                }
+                out.forward = Some(hit);
             }
             None => {
                 if searched > 0 {
@@ -713,12 +598,8 @@ impl Elsq {
         addr: MemAccess,
         cycle: u64,
         l1: Option<&mut SetAssocCache>,
-    ) -> StoreResolveOutcome {
-        let mut out = StoreResolveOutcome {
-            violation_load_seq: None,
-            extra_latency: 0,
-            lock_conflict_squash: false,
-        };
+    ) -> StoreOutcome {
+        let mut out = StoreOutcome::default();
         if self.migration_block == Some(seq) {
             self.migration_block = None;
         }
@@ -727,7 +608,7 @@ impl Elsq {
             match cache.lock_line(addr.addr) {
                 LockOutcome::SetFull => {
                     self.counters.lock_conflict_squashes += 1;
-                    out.lock_conflict_squash = true;
+                    out.lock_conflict = true;
                     return out;
                 }
                 _ => {
@@ -821,18 +702,6 @@ impl Elsq {
     // Commit and recovery
     // ------------------------------------------------------------------
 
-    /// Shared epoch-teardown bookkeeping: clears the bank's ERT column,
-    /// drops its mirrored stores and releases its locked lines.
-    fn finish_epoch(&mut self, bank: usize, l1: Option<&mut SetAssocCache>) {
-        self.ert.clear_epoch(bank);
-        if let Some(sqm) = self.sqm.as_mut() {
-            sqm.drop_bank(bank);
-        }
-        if self.line_based() {
-            self.locked_lines[bank].release_all(l1);
-        }
-    }
-
     /// Commits the oldest epoch: clears its ERT column, unlocks its lines and
     /// drops its mirrored stores. Its stores are not materialized: the cycle
     /// loop models their write-back at instruction commit. Returns whether
@@ -842,35 +711,15 @@ impl Elsq {
             return false;
         };
         let bank = epoch.bank();
-        self.finish_epoch(bank, l1);
+        self.ert.clear_epoch(bank);
+        if let Some(sqm) = self.sqm.as_mut() {
+            sqm.drop_bank(bank);
+        }
+        if self.line_based() {
+            self.locked_lines[bank].release_all(l1);
+        }
         self.ll.recycle(epoch);
         true
-    }
-
-    /// Squashes epoch `bank` and every younger epoch plus the whole HL-LSQ
-    /// (checkpoint recovery, Section 4.1). Returns the sequence number of
-    /// the instruction execution restarts from, if any epoch was squashed.
-    pub fn squash_from_bank(
-        &mut self,
-        bank: usize,
-        mut l1: Option<&mut SetAssocCache>,
-    ) -> Option<u64> {
-        let squashed = self.ll.squash_from_bank(bank);
-        let restart = squashed.first().map(|e| e.first_seq());
-        for epoch in squashed {
-            self.finish_epoch(epoch.bank(), l1.as_deref_mut());
-            self.ll.recycle(epoch);
-        }
-        if let Some(restart_seq) = restart {
-            self.hl.squash_from(0); // the HL-LSQ only holds younger entries
-            if self
-                .migration_block
-                .is_some_and(|blocked| blocked >= restart_seq)
-            {
-                self.migration_block = None;
-            }
-        }
-        restart
     }
 
     /// Squashes every HL entry with sequence number `>= from_seq` (branch
@@ -884,11 +733,6 @@ impl Elsq {
             self.migration_block = None;
         }
         self.hl.squash_from(from_seq)
-    }
-
-    /// Total low-locality occupancy `(loads, stores)`.
-    pub fn ll_occupancy(&self) -> (usize, usize) {
-        (self.ll.total_loads(), self.ll.total_stores())
     }
 }
 
@@ -922,8 +766,8 @@ mod tests {
         lsq.allocate_hl(MemOpKind::Load, 2).unwrap();
         lsq.hl_store_address_ready(1, acc(0x100), 5);
         let out = lsq.issue_hl_load(2, acc(0x100), 6);
-        assert_eq!(out.forwarded_from, Some(1));
-        assert_eq!(out.forward_source, Some(ForwardSource::HighLocality));
+        assert_eq!(out.forward.map(|f| f.store_seq), Some(1));
+        assert_eq!(lsq.counters().global_forwards, 0);
         assert_eq!(lsq.counters().local_forwards, 1);
         assert_eq!(lsq.counters().hl_sq_searches, 1);
     }
@@ -950,21 +794,21 @@ mod tests {
         lsq.open_epoch(1).unwrap();
         let bank = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         assert!(lsq.ll_active());
-        assert_eq!(lsq.ll_occupancy(), (0, 1));
+        assert_eq!(lsq.ll.epoch(bank).unwrap().stores().count(), 1);
         lsq.allocate_hl(MemOpKind::Load, 10).unwrap();
         let out = lsq.issue_hl_load(10, acc(0x200), 20);
-        assert_eq!(out.forwarded_from, Some(1));
-        assert_eq!(out.forward_source, Some(ForwardSource::RemoteEpoch));
+        assert_eq!(out.forward.map(|f| f.store_seq), Some(1));
+        assert_eq!(lsq.counters().local_forwards, 0);
         assert_eq!(lsq.counters().sqm_lookups, 1);
         assert_eq!(lsq.counters().ert_true_positives, 1);
         assert_eq!(lsq.counters().global_forwards, 1);
         // Committing the epoch clears the ERT so later loads no longer match.
-        assert_eq!(lsq.oldest_epoch(), Some(bank));
+        assert_eq!(lsq.ll.iter_banks_young_to_old().last(), Some(bank));
         assert!(lsq.retire_oldest_epoch(None));
         assert!(!lsq.ll_active());
         lsq.allocate_hl(MemOpKind::Load, 11).unwrap();
         let out = lsq.issue_hl_load(11, acc(0x200), 30);
-        assert!(out.forwarded_from.is_none());
+        assert!(out.forward.is_none());
     }
 
     #[test]
@@ -976,11 +820,11 @@ mod tests {
         lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         lsq.allocate_hl(MemOpKind::Load, 5).unwrap();
         let out = lsq.issue_hl_load(5, acc(0x300), 9);
-        assert_eq!(out.forwarded_from, Some(1));
+        assert_eq!(out.forward.map(|f| f.store_seq), Some(1));
         assert_eq!(lsq.counters().roundtrips, 1);
         assert!(lsq.counters().ll_sq_searches >= 1);
         // The round-trip makes this slower than the SQM path.
-        assert!(out.extra_latency >= 2 * lsq.config().network_one_way);
+        assert!(out.extra_latency >= 2 * lsq.config.network_one_way);
     }
 
     #[test]
@@ -998,7 +842,7 @@ mod tests {
         lsq.allocate_hl(MemOpKind::Load, 3).unwrap();
         // 0x1_0010 aliases 0x10 under 4 index bits but does not overlap.
         let out = lsq.issue_hl_load(3, acc(0x1_0010), 8);
-        assert!(out.forwarded_from.is_none());
+        assert!(out.forward.is_none());
         assert_eq!(lsq.counters().ert_false_positives, 1);
     }
 
@@ -1015,8 +859,14 @@ mod tests {
         let b1 = lsq.migrate_to_ll(MemOpKind::Load, 20, None).unwrap();
         assert_ne!(b0, b1);
         let out = lsq.issue_ll_load(b1, 20, acc(0x500), 30, None);
-        assert_eq!(out.forwarded_from, Some(1));
-        assert_eq!(out.forward_source, Some(ForwardSource::RemoteEpoch));
+        assert_eq!(out.forward.map(|f| f.store_seq), Some(1));
+        let forwards = |lsq: &Elsq| {
+            (
+                lsq.counters().local_forwards,
+                lsq.counters().global_forwards,
+            )
+        };
+        assert_eq!(forwards(&lsq), (0, 1));
         // Local forwarding within one epoch.
         lsq.allocate_hl(MemOpKind::Store, 21).unwrap();
         lsq.allocate_hl(MemOpKind::Load, 22).unwrap();
@@ -1024,7 +874,8 @@ mod tests {
         lsq.migrate_to_ll(MemOpKind::Load, 22, None).unwrap();
         lsq.ll_store_address_ready(b1, 21, acc(0x600), 31, None);
         let out = lsq.issue_ll_load(b1, 22, acc(0x600), 32, None);
-        assert_eq!(out.forward_source, Some(ForwardSource::LocalEpoch));
+        assert_eq!(out.forward.map(|f| f.store_seq), Some(21));
+        assert_eq!(forwards(&lsq), (1, 1));
     }
 
     #[test]
@@ -1051,7 +902,7 @@ mod tests {
         lsq.allocate_hl(MemOpKind::Load, 2).unwrap();
         lsq.open_epoch(1).unwrap();
         let bank = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
-        assert!(lsq.migration_blocked());
+        assert_eq!(lsq.migration_block, Some(1));
         assert_eq!(
             lsq.migrate_to_ll(MemOpKind::Load, 2, None),
             Err(MigrateError::Blocked { by_seq: 1 })
@@ -1059,7 +910,7 @@ mod tests {
         assert_eq!(lsq.counters().restricted_stalls, 1);
         // Once the store resolves, migration resumes.
         lsq.ll_store_address_ready(bank, 1, acc(0x40), 50, None);
-        assert!(!lsq.migration_blocked());
+        assert_eq!(lsq.migration_block, None);
         assert!(lsq.migrate_to_ll(MemOpKind::Load, 2, None).is_ok());
     }
 
@@ -1097,7 +948,7 @@ mod tests {
         );
         lsq.open_epoch(2).unwrap();
         assert!(lsq.migrate_to_ll(MemOpKind::Store, 2, None).is_ok());
-        assert_eq!(lsq.live_epochs(), 2);
+        assert_eq!(lsq.ll.iter_banks_young_to_old().count(), 2);
         assert_eq!(lsq.epochs_allocated(), 2);
     }
 
@@ -1147,37 +998,14 @@ mod tests {
         lsq.migrate_to_ll(MemOpKind::Store, 3, Some(&mut l1))
             .unwrap();
         let out = lsq.ll_store_address_ready(
-            lsq.youngest_epoch().unwrap(),
+            lsq.ll.youngest_bank().unwrap(),
             3,
             acc(0x80),
             9,
             Some(&mut l1),
         );
-        assert!(out.lock_conflict_squash);
+        assert!(out.lock_conflict);
         assert_eq!(lsq.counters().lock_conflict_squashes, 1);
-    }
-
-    #[test]
-    fn squash_from_bank_restores_state() {
-        let mut lsq = Elsq::new(small_config());
-        lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
-        lsq.hl_store_address_ready(1, acc(0x100), 2);
-        lsq.open_epoch(1).unwrap();
-        let b0 = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
-        lsq.allocate_hl(MemOpKind::Load, 10).unwrap();
-        lsq.open_epoch(10).unwrap();
-        let b1 = lsq.migrate_to_ll(MemOpKind::Load, 10, None).unwrap();
-        // Squashing from the younger epoch keeps the older one.
-        let restart = lsq.squash_from_bank(b1, None);
-        assert_eq!(restart, Some(10));
-        assert_eq!(lsq.live_epochs(), 1);
-        assert_eq!(lsq.oldest_epoch(), Some(b0));
-        // The store in the surviving epoch is still visible through the ERT.
-        lsq.allocate_hl(MemOpKind::Load, 20).unwrap();
-        let out = lsq.issue_hl_load(20, acc(0x100), 30);
-        assert_eq!(out.forwarded_from, Some(1));
-        // Squashing an unknown bank is a no-op.
-        assert_eq!(lsq.squash_from_bank(b1, None), None);
     }
 
     #[test]
@@ -1187,10 +1015,10 @@ mod tests {
         lsq.allocate_hl(MemOpKind::Load, 7).unwrap();
         lsq.open_epoch(7).unwrap();
         lsq.migrate_to_ll(MemOpKind::Load, 7, None).unwrap();
-        assert!(lsq.migration_blocked());
+        assert_eq!(lsq.migration_block, Some(7));
         // The blocking instruction is squashed along with younger state.
-        lsq.squash_from_bank(lsq.oldest_epoch().unwrap(), None);
-        assert!(!lsq.migration_blocked());
+        lsq.squash_hl_from(7);
+        assert_eq!(lsq.migration_block, None);
     }
 
     #[test]
@@ -1202,7 +1030,7 @@ mod tests {
         lsq.allocate_hl(MemOpKind::Store, 5).unwrap();
         assert!(lsq.has_unknown_store_between(1, 9));
         assert!(!lsq.has_unknown_store_between(5, 9) || lsq.has_unknown_store_between(5, 9));
-        let bank = lsq.youngest_epoch().unwrap();
+        let bank = lsq.ll.youngest_bank().unwrap();
         lsq.ll_store_address_ready(bank, 2, acc(0x10), 5, None);
         lsq.hl_store_address_ready(5, acc(0x20), 6);
         assert!(!lsq.has_unknown_store_between(1, 9));
@@ -1215,7 +1043,8 @@ mod tests {
         lsq.allocate_hl(MemOpKind::Store, 2).unwrap();
         assert!(lsq.commit_hl(MemOpKind::Load, 1).is_some());
         assert!(lsq.commit_hl(MemOpKind::Load, 1).is_none());
-        assert_eq!(lsq.hl_occupancy(), (0, 1));
+        assert_eq!(lsq.hl.load_queue().len(), 0);
+        assert_eq!(lsq.hl.store_queue().len(), 1);
         assert_eq!(lsq.squash_hl_from(0), 1);
     }
 }

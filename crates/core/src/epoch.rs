@@ -4,8 +4,13 @@
 //! the loads and stores of one checkpoint interval, mapped one-to-one onto an
 //! FMC Memory Engine. Instructions never move between epochs; an epoch is
 //! created when migration needs a new one, fills up to its capacity, and is
-//! deallocated wholesale when it commits or is squashed (checkpoint
-//! recovery, Section 4.1).
+//! deallocated wholesale when it commits
+//! ([`Elsq::retire_oldest_epoch`](crate::elsq::Elsq::retire_oldest_epoch)).
+//!
+//! The paper also squashes epochs to recover from an ordering violation or
+//! a line-lock conflict (checkpoint recovery, Section 4.1). This model does
+//! not: the timing loop charges such a recovery as a fetch bubble and leaves
+//! the epochs in place, so retirement is the only way an epoch ends.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,18 +72,19 @@ impl Epoch {
     }
 
     /// The bank this epoch occupies.
-    pub fn bank(&self) -> usize {
+    pub(crate) fn bank(&self) -> usize {
         self.bank
     }
 
     /// The epoch's age-ordered identity.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// Sequence number of the first instruction of the epoch (the recovery
     /// point of its checkpoint).
-    pub fn first_seq(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn first_seq(&self) -> u64 {
         self.first_seq
     }
 
@@ -88,16 +94,6 @@ impl Epoch {
             MemOpKind::Load => !self.lq.is_full(),
             MemOpKind::Store => !self.sq.is_full(),
         }
-    }
-
-    /// Number of loads held.
-    pub fn load_count(&self) -> usize {
-        self.lq.len()
-    }
-
-    /// Number of stores held.
-    pub fn store_count(&self) -> usize {
-        self.sq.len()
     }
 
     /// Number of stores with still-unknown addresses.
@@ -113,11 +109,7 @@ impl Epoch {
     ///
     /// Returns [`QueueFullError`] when the epoch's queue for `kind` is full;
     /// the caller must open a new epoch.
-    pub(crate) fn insert(
-        &mut self,
-        kind: MemOpKind,
-        entry: MemEntry,
-    ) -> Result<(), QueueFullError> {
+    pub fn insert(&mut self, kind: MemOpKind, entry: MemEntry) -> Result<(), QueueFullError> {
         match kind {
             MemOpKind::Load => self.lq.push_entry(entry),
             MemOpKind::Store => {
@@ -134,7 +126,7 @@ impl Epoch {
     /// Records the address of a load or store already in the epoch.
     /// Reached through [`crate::ll::LlLsq::set_address`], for the same
     /// reason as [`Epoch::insert`].
-    pub(crate) fn set_address(&mut self, kind: MemOpKind, seq: u64, addr: MemAccess) -> bool {
+    pub fn set_address(&mut self, kind: MemOpKind, seq: u64, addr: MemAccess) -> bool {
         match kind {
             MemOpKind::Load => self.lq.set_address(seq, addr),
             MemOpKind::Store => {
@@ -157,12 +149,12 @@ impl Epoch {
     }
 
     /// Local forwarding search: youngest older store in *this* epoch.
-    pub fn search_stores(&self, load_seq: u64, access: &MemAccess) -> Option<ForwardHit> {
+    pub(crate) fn search_stores(&self, load_seq: u64, access: &MemAccess) -> Option<ForwardHit> {
         self.sq.find_forwarding_store(load_seq, access)
     }
 
     /// Local violation search: younger issued load in *this* epoch.
-    pub fn search_loads(&self, store_seq: u64, access: &MemAccess) -> Option<u64> {
+    pub(crate) fn search_loads(&self, store_seq: u64, access: &MemAccess) -> Option<u64> {
         self.lq.find_violating_load(store_seq, access)
     }
 
@@ -182,16 +174,6 @@ impl Epoch {
     /// Iterates over the loads of the epoch.
     pub fn loads(&self) -> impl Iterator<Item = &MemEntry> {
         self.lq.iter()
-    }
-
-    /// Every address currently known in this epoch (loads and stores); used
-    /// by the coordinator to unlock L1 lines when the epoch ends.
-    pub fn known_addresses(&self) -> Vec<MemAccess> {
-        self.lq
-            .iter()
-            .chain(self.sq.iter())
-            .filter_map(|e| e.addr)
-            .collect()
     }
 
     /// Whether the epoch holds no memory operations at all.
@@ -228,7 +210,7 @@ mod tests {
         assert!(!ep.has_room(MemOpKind::Store));
         assert!(ep.has_room(MemOpKind::Load));
         assert!(ep.insert(MemOpKind::Store, entry(103, None)).is_err());
-        assert_eq!(ep.store_count(), 2);
+        assert_eq!(ep.stores().count(), 2);
         assert_eq!(ep.unresolved_stores(), 1);
     }
 
@@ -252,7 +234,7 @@ mod tests {
         ep.set_issued(MemOpKind::Store, 10, 50);
         let hit = ep.search_stores(12, &MemAccess::new(0x100, 8)).unwrap();
         assert_eq!(hit.store_seq, 10);
-        assert!(hit.data_ready);
+        assert_eq!(hit.data_ready_at, 50);
         // Load 12 issues to 0x200; an older store to 0x200 then violates it.
         ep.set_address(MemOpKind::Load, 12, MemAccess::new(0x200, 8));
         ep.set_issued(MemOpKind::Load, 12, 55);
@@ -266,7 +248,8 @@ mod tests {
         ep.insert(MemOpKind::Load, entry(1, Some(0x20))).unwrap();
         ep.insert(MemOpKind::Store, entry(2, None)).unwrap();
         assert!(!ep.is_empty());
-        assert_eq!(ep.known_addresses().len(), 1);
+        let known = ep.loads().chain(ep.stores()).filter(|e| e.addr.is_some());
+        assert_eq!(known.count(), 1);
         assert_eq!(ep.loads().count(), 1);
         assert_eq!(ep.stores().count(), 1);
     }

@@ -34,13 +34,6 @@ impl EpochMask {
         EpochMask(0)
     }
 
-    /// A mask with a single bank set.
-    pub fn single(bank: usize) -> Self {
-        let mut m = EpochMask::empty();
-        m.set(bank);
-        m
-    }
-
     /// Sets `bank`.
     ///
     /// # Panics
@@ -67,19 +60,9 @@ impl EpochMask {
         self.0 == 0
     }
 
-    /// Number of banks present.
-    pub fn count(&self) -> u32 {
-        self.0.count_ones()
-    }
-
     /// Iterates over the banks present, in increasing bank order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..32usize).filter(move |b| self.contains(*b))
-    }
-
-    /// Removes the banks of `other` from `self`.
-    pub fn subtract(&mut self, other: EpochMask) {
-        self.0 &= !other.0;
     }
 
     /// Raw bit representation.
@@ -159,11 +142,6 @@ impl Ert {
         }
     }
 
-    /// The number of epoch banks this table tracks.
-    pub fn num_banks(&self) -> usize {
-        self.num_banks
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &ErtStats {
         &self.stats
@@ -174,12 +152,6 @@ impl Ert {
             Table::Hash { bits, .. } => addr & ((1u64 << bits) - 1),
             Table::Line { line_bytes, .. } => addr & !(line_bytes - 1),
         }
-    }
-
-    /// The key (hash index or line address) an address maps to. The
-    /// line-based coordinator uses this to know which L1 line to lock.
-    pub fn key_for(&self, addr: u64) -> u64 {
-        self.index_of(addr)
     }
 
     /// Records that epoch `bank` holds a *store* with address `addr`.
@@ -310,16 +282,11 @@ mod tests {
         assert!(m.contains(3));
         assert!(m.contains(15));
         assert!(!m.contains(4));
-        assert_eq!(m.count(), 2);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![3, 15]);
         m.clear(3);
         assert!(!m.contains(3));
-        let mut a = EpochMask::single(1);
-        a.set(2);
-        a.subtract(EpochMask::single(1));
-        assert!(!a.contains(1));
-        assert!(a.contains(2));
-        assert_eq!(EpochMask::single(5).bits(), 1 << 5);
+        m.set(5);
+        assert_eq!(m.bits(), 1 << 5 | 1 << 15);
     }
 
     #[test]
@@ -365,7 +332,6 @@ mod tests {
         assert!(ert.query_stores(0x101f).contains(3));
         // Different line: no false positive.
         assert!(ert.query_stores(0x1020).is_empty());
-        assert_eq!(ert.key_for(0x101f), 0x1000);
         assert_eq!(ert.occupied_entries(), 1);
         ert.clear_epoch(3);
         assert_eq!(ert.occupied_entries(), 0);

@@ -8,7 +8,7 @@
 //! hasher (the `rustc-hash`/FxHash construction) instead: fast on `u64`
 //! keys, stable across processes, and dependency-free.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// The FxHash multiplication constant (golden-ratio derived).
@@ -77,12 +77,10 @@ impl BuildHasher for FxBuildHasher {
 /// A `HashMap` keyed with the deterministic FxHash.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with the deterministic FxHash.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn hashing_is_deterministic_and_spreads() {
@@ -94,7 +92,7 @@ mod tests {
         assert_eq!(one(42), one(42));
         assert_ne!(one(1), one(2));
         // Sequential cache-line addresses should not collide trivially.
-        let hashes: FxHashSet<u64> = (0..1024u64).map(|i| one(i * 64)).collect();
+        let hashes: HashSet<u64> = (0..1024u64).map(|i| one(i * 64)).collect();
         assert_eq!(hashes.len(), 1024);
     }
 

@@ -104,16 +104,6 @@ impl HlLsq {
         self.lq.squash_from(from_seq) + self.sq.squash_from(from_seq)
     }
 
-    /// Number of loads currently tracked.
-    pub fn load_count(&self) -> usize {
-        self.lq.len()
-    }
-
-    /// Number of stores currently tracked.
-    pub fn store_count(&self) -> usize {
-        self.sq.len()
-    }
-
     /// Shared access to the store queue (used by the coordinator for the
     /// cross-level checks).
     pub fn store_queue(&self) -> &AgeQueue {
@@ -143,8 +133,8 @@ mod tests {
         assert!(!hl.has_room(MemOpKind::Load));
         assert!(!hl.has_room(MemOpKind::Store));
         assert!(hl.allocate(MemOpKind::Store, 4).is_err());
-        assert_eq!(hl.load_count(), 2);
-        assert_eq!(hl.store_count(), 1);
+        assert_eq!(hl.load_queue().len(), 2);
+        assert_eq!(hl.store_queue().len(), 1);
     }
 
     #[test]
@@ -158,7 +148,7 @@ mod tests {
         // Load 2 forwards from store 1.
         let hit = hl.search_stores(2, &acc(0x100)).unwrap();
         assert_eq!(hit.store_seq, 1);
-        assert!(hit.data_ready);
+        assert_eq!(hit.data_ready_at, 5);
         // Load 3 issues to a different address, then an older store to that
         // address appears: violation.
         hl.set_address(MemOpKind::Load, 3, acc(0x200));
@@ -188,8 +178,8 @@ mod tests {
         let e = hl.remove(MemOpKind::Load, 1).unwrap();
         assert_eq!(e.seq, 1);
         assert_eq!(hl.squash_from(3), 1);
-        assert_eq!(hl.load_count(), 0);
-        assert_eq!(hl.store_count(), 1);
+        assert_eq!(hl.load_queue().len(), 0);
+        assert_eq!(hl.store_queue().len(), 1);
         assert!(hl.load_queue().is_empty());
         assert_eq!(hl.store_queue().len(), 1);
     }

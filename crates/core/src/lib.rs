@@ -7,9 +7,9 @@
 //!
 //! ## Structure
 //!
-//! * [`hl::HlLsq`] — the small, fast **high-locality** LSQ attached to the
-//!   Cache Processor; sized like a conventional LSQ (32 loads / 24 stores by
-//!   default).
+//! * `HlLsq`, private to [`elsq::Elsq`] — the small, fast **high-locality**
+//!   LSQ attached to the Cache Processor; sized like a conventional LSQ (32
+//!   loads / 24 stores by default).
 //! * [`epoch::Epoch`] and [`ll::LlLsq`] — the **low-locality** LSQ, banked by
 //!   age into *epochs*; each epoch maps one-to-one onto an FMC Memory Engine.
 //! * [`ert`] — the **Epoch Resolution Table**, the global-disambiguation
@@ -44,7 +44,7 @@
 //! lsq.allocate_hl(MemOpKind::Load, 2).unwrap();
 //! lsq.hl_store_address_ready(1, MemAccess::new(0x100, 8), 10);
 //! let out = lsq.issue_hl_load(2, MemAccess::new(0x100, 8), 12);
-//! assert!(out.forwarded_from.is_some());
+//! assert_eq!(out.forward.map(|f| f.store_seq), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,8 +56,8 @@ pub mod disambig;
 pub mod elsq;
 pub mod epoch;
 pub mod ert;
-pub mod fxhash;
-pub mod hl;
+pub(crate) mod fxhash;
+pub(crate) mod hl;
 pub mod ll;
 pub mod queue;
 pub mod sqm;

@@ -1,9 +1,10 @@
 //! The low-locality LSQ: an age-ordered collection of epochs.
 //!
-//! [`LlLsq`] owns the epoch banks, allocates new epochs in program order,
-//! retires the oldest epoch when it commits and squashes suffixes of epochs
-//! during recovery. Bank indices recycle; age ordering is maintained through
-//! monotonically increasing epoch identifiers.
+//! [`LlLsq`] owns the epoch banks, allocates new epochs in program order and
+//! retires the oldest epoch when it commits. Retirement is the only way an
+//! epoch leaves: recovery is not modelled as an epoch squash (see
+//! [`crate::epoch`]). Bank indices recycle; age ordering is maintained
+//! through monotonically increasing epoch identifiers.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -61,24 +62,14 @@ impl LlLsq {
         }
     }
 
-    /// Number of banks (live or free).
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Number of live epochs.
-    pub fn live_epochs(&self) -> usize {
-        self.order.len()
-    }
-
     /// Total number of epochs allocated over the lifetime of the queue.
-    pub fn total_allocated(&self) -> u64 {
+    pub(crate) fn total_allocated(&self) -> u64 {
         self.allocated
     }
 
     /// Whether no epoch is live (the Memory Processor is idle and the
     /// LL-LSQ can sit in its low-power mode — Figure 11).
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.order.is_empty()
     }
 
@@ -118,13 +109,8 @@ impl LlLsq {
     }
 
     /// The bank of the youngest (currently filling) epoch, if any.
-    pub fn youngest_bank(&self) -> Option<usize> {
+    pub(crate) fn youngest_bank(&self) -> Option<usize> {
         self.order.back().copied()
-    }
-
-    /// The bank of the oldest live epoch, if any.
-    pub fn oldest_bank(&self) -> Option<usize> {
-        self.order.front().copied()
     }
 
     /// Shared access to the epoch in `bank`.
@@ -181,15 +167,6 @@ impl LlLsq {
         Some(epoch)
     }
 
-    /// Whether the youngest epoch can accept another entry of `kind`.
-    /// Returns `false` when no epoch is live.
-    pub fn youngest_has_room(&self, kind: MemOpKind) -> bool {
-        self.youngest_bank()
-            .and_then(|b| self.epoch(b))
-            .map(|e| e.has_room(kind))
-            .unwrap_or(false)
-    }
-
     /// Banks of live epochs ordered from youngest to oldest — the order in
     /// which a global search walks remote epochs ("starting from the most
     /// recent one", Section 3.4).
@@ -203,42 +180,6 @@ impl LlLsq {
         let epoch = self.banks[bank].take()?;
         self.unresolved_stores -= epoch.unresolved_stores();
         Some(epoch)
-    }
-
-    /// Squashes the epoch in `bank` and every younger epoch, returning the
-    /// squashed epochs oldest-first (checkpoint recovery restarts from the
-    /// first instruction of the oldest squashed epoch).
-    pub fn squash_from_bank(&mut self, bank: usize) -> Vec<Epoch> {
-        let Some(pos) = self.order.iter().position(|&b| b == bank) else {
-            return Vec::new();
-        };
-        let squashed_banks: Vec<usize> = self.order.drain(pos..).collect();
-        let squashed: Vec<Epoch> = squashed_banks
-            .into_iter()
-            .filter_map(|b| self.banks[b].take())
-            .collect();
-        for epoch in &squashed {
-            self.unresolved_stores -= epoch.unresolved_stores();
-        }
-        squashed
-    }
-
-    /// Total loads across live epochs.
-    pub fn total_loads(&self) -> usize {
-        self.order
-            .iter()
-            .filter_map(|&b| self.epoch(b))
-            .map(|e| e.load_count())
-            .sum()
-    }
-
-    /// Total stores across live epochs.
-    pub fn total_stores(&self) -> usize {
-        self.order
-            .iter()
-            .filter_map(|&b| self.epoch(b))
-            .map(|e| e.store_count())
-            .sum()
     }
 
     /// Whether any live epoch holds a store with an unknown address.
@@ -269,10 +210,9 @@ mod tests {
         let b1 = q.open_epoch(20).unwrap();
         assert_ne!(b0, b1);
         assert_eq!(q.open_epoch(30), Err(NoFreeEpochError));
-        assert_eq!(q.live_epochs(), 2);
+        assert_eq!(q.iter_banks_young_to_old().collect::<Vec<_>>(), [b1, b0]);
         assert_eq!(q.total_allocated(), 2);
         assert!(!q.is_idle());
-        assert_eq!(q.oldest_bank(), Some(b0));
         assert_eq!(q.youngest_bank(), Some(b1));
     }
 
@@ -283,7 +223,7 @@ mod tests {
         let _b1 = q.open_epoch(100).unwrap();
         let committed = q.commit_oldest().unwrap();
         assert_eq!(committed.bank(), b0);
-        assert_eq!(q.live_epochs(), 1);
+        assert_eq!(q.iter_banks_young_to_old().count(), 1);
         // The freed bank can be reused, and age order is preserved by ids.
         let b2 = q.open_epoch(200).unwrap();
         assert_eq!(b2, b0);
@@ -304,39 +244,23 @@ mod tests {
         let b1 = q.open_epoch(50).unwrap();
         let reopened = q.epoch(b1).unwrap();
         assert_eq!(reopened.first_seq(), 50);
-        assert_eq!(reopened.load_count(), 0, "recycled shell must be empty");
+        assert!(reopened.is_empty(), "recycled shell must be empty");
         assert_eq!(q.total_allocated(), 2);
         // Age ids keep increasing across recycling.
         assert_eq!(reopened.id(), 1);
     }
 
     #[test]
-    fn squash_from_bank_removes_suffix() {
-        let mut q = ll(4);
-        let b0 = q.open_epoch(0).unwrap();
-        let b1 = q.open_epoch(10).unwrap();
-        let b2 = q.open_epoch(20).unwrap();
-        let squashed = q.squash_from_bank(b1);
-        assert_eq!(squashed.len(), 2);
-        assert_eq!(squashed[0].bank(), b1);
-        assert_eq!(squashed[1].bank(), b2);
-        assert_eq!(q.live_epochs(), 1);
-        assert_eq!(q.oldest_bank(), Some(b0));
-        // Squashing an unknown bank is a no-op.
-        assert!(q.squash_from_bank(b2).is_empty());
-    }
-
-    #[test]
     fn room_and_occupancy_tracking() {
         let mut q = ll(2);
-        assert!(!q.youngest_has_room(MemOpKind::Load));
         let b = q.open_epoch(0).unwrap();
-        assert!(q.youngest_has_room(MemOpKind::Load));
+        assert!(q.epoch(b).unwrap().has_room(MemOpKind::Load));
         q.insert(b, MemOpKind::Store, MemEntry::pending(1)).unwrap();
         q.insert(b, MemOpKind::Store, MemEntry::pending(2)).unwrap();
-        assert!(!q.youngest_has_room(MemOpKind::Store));
-        assert_eq!(q.total_stores(), 2);
-        assert_eq!(q.total_loads(), 0);
+        let epoch = q.epoch(b).unwrap();
+        assert!(!epoch.has_room(MemOpKind::Store));
+        assert_eq!(epoch.stores().count(), 2);
+        assert_eq!(epoch.loads().count(), 0);
         assert!(q.has_unresolved_stores());
     }
 }

@@ -113,7 +113,7 @@ impl MemEntry {
     }
 }
 
-/// Result of a forwarding search in a store queue.
+/// The older store a load forwards from: the result of a forwarding search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForwardHit {
     /// Sequence number of the matching store.
@@ -121,10 +121,41 @@ pub struct ForwardHit {
     /// Whether the store fully covers the load (a partial overlap requires
     /// waiting for the store to commit, per Section 2.1).
     pub full_cover: bool,
-    /// Whether the store's data was ready at search time.
-    pub data_ready: bool,
-    /// Cycle at which the store's data becomes/became ready.
+    /// Cycle at which the store's data becomes/became ready; the load
+    /// cannot complete earlier.
     pub data_ready_at: u64,
+}
+
+/// What a load learns when it searches the LSQ. Every queue model answers
+/// with this: the central LSQs and both levels of the ELSQ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LoadOutcome {
+    /// The older in-flight store the load forwards from, if any.
+    pub forward: Option<ForwardHit>,
+    /// Latency beyond the L1 access: queue searches, filter lookups and
+    /// network trips.
+    pub extra_latency: u32,
+    /// Line-based ERT only: the load's line could not be locked because the
+    /// whole set is locked by younger instructions, so the window must be
+    /// squashed from this load (Section 3.4).
+    pub lock_conflict: bool,
+    /// Whether any older store (in any level) still had an unknown address
+    /// when the load issued; the SVW CheckStores filter needs it.
+    pub older_unknown_store: bool,
+}
+
+/// What a store learns when its address resolves and it searches the LSQ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreOutcome {
+    /// Oldest younger load that already issued with an overlapping address:
+    /// a store-load ordering violation, so the window must be squashed from
+    /// it.
+    pub violation_load_seq: Option<u64>,
+    /// Latency of the violation checks: queue searches and network trips.
+    pub extra_latency: u32,
+    /// Line-based ERT only: the store's line could not be locked while it
+    /// issued from the LL-LSQ, so the window must be squashed.
+    pub lock_conflict: bool,
 }
 
 /// Granularity of the line index. Any 1–8 byte access touches at most two
@@ -431,13 +462,8 @@ impl AgeQueue {
     }
 
     /// Whether the queue cannot accept another entry.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.capacity.is_some_and(|c| self.len >= c)
-    }
-
-    /// The configured capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of entries whose address is still unknown.
@@ -563,7 +589,7 @@ impl AgeQueue {
     /// # Errors
     ///
     /// Returns [`QueueFullError`] if the queue is bounded and full.
-    pub fn push_entry(&mut self, entry: MemEntry) -> Result<(), QueueFullError> {
+    pub(crate) fn push_entry(&mut self, entry: MemEntry) -> Result<(), QueueFullError> {
         if self.is_full() {
             return Err(QueueFullError {
                 capacity: self.capacity.unwrap_or(0),
@@ -690,7 +716,6 @@ impl AgeQueue {
         best.map(|e| ForwardHit {
             store_seq: e.seq,
             full_cover: e.addr.map(|a| access.covered_by(&a)).unwrap_or(false),
-            data_ready: e.issued,
             data_ready_at: e.ready_at,
         })
     }
@@ -738,17 +763,8 @@ impl AgeQueue {
         best
     }
 
-    /// Sequence number of the oldest entry, if any.
-    pub fn head_seq(&self) -> Option<u64> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(self.entries[self.head as usize].seq)
-        }
-    }
-
     /// Sequence number of the youngest entry, if any.
-    pub fn tail_seq(&self) -> Option<u64> {
+    pub(crate) fn tail_seq(&self) -> Option<u64> {
         if self.tail == NIL {
             None
         } else {
@@ -833,6 +849,13 @@ impl Deserialize for AgeQueue {
 mod tests {
     use super::*;
 
+    impl AgeQueue {
+        /// The configured capacity, if bounded.
+        fn capacity(&self) -> Option<usize> {
+            self.capacity
+        }
+    }
+
     fn acc(addr: u64, size: u8) -> MemAccess {
         MemAccess::new(addr, size)
     }
@@ -880,12 +903,10 @@ mod tests {
         let hit = sq.find_forwarding_store(4, &acc(0x100, 8)).unwrap();
         assert_eq!(hit.store_seq, 3);
         assert!(hit.full_cover);
-        assert!(hit.data_ready);
         assert_eq!(hit.data_ready_at, 20);
-        // Load at seq 6 forwards from store 5, whose data is not ready.
+        // Load at seq 6 forwards from store 5.
         let hit = sq.find_forwarding_store(6, &acc(0x104, 4)).unwrap();
         assert_eq!(hit.store_seq, 5);
-        assert!(!hit.data_ready);
         // Load older than every store finds nothing.
         assert!(sq.find_forwarding_store(0, &acc(0x100, 8)).is_none());
     }
@@ -997,7 +1018,7 @@ mod tests {
         assert_eq!(q.squash_from(4), 2);
         assert_eq!(q.len(), 2);
         assert_eq!(q.tail_seq(), Some(3));
-        assert_eq!(q.head_seq(), Some(2));
+        assert_eq!(q.iter().next().map(|e| e.seq), Some(2));
         assert_eq!(q.clear(), 2);
         assert!(q.is_empty());
         assert_eq!(q.unknown_address_count(), 0);

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use elsq_isa::MemAccess;
 
-use crate::queue::Chains;
+use crate::queue::{Chains, ForwardHit};
 
 /// One mirrored store entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,6 +36,17 @@ pub struct MirrorHit {
     pub entry: MirrorEntry,
     /// Whether the store fully covers the load.
     pub full_cover: bool,
+}
+
+impl MirrorHit {
+    /// The hit as the forward a load's outcome carries.
+    pub(crate) fn forward(&self) -> ForwardHit {
+        ForwardHit {
+            store_seq: self.entry.seq,
+            full_cover: self.full_cover,
+            data_ready_at: self.entry.ready_at,
+        }
+    }
 }
 
 /// The Store Queue Mirror: a replica of every low-locality store whose

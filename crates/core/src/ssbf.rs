@@ -44,11 +44,6 @@ impl StoreSequenceBloomFilter {
         self.bits
     }
 
-    /// Number of entries.
-    pub fn entries(&self) -> usize {
-        self.table.len()
-    }
-
     /// Storage in bytes, assuming 2-byte entries as in the paper's budget
     /// discussion (the stored SSN is truncated in hardware).
     pub fn storage_bytes(&self) -> usize {
@@ -69,7 +64,7 @@ impl StoreSequenceBloomFilter {
     }
 
     /// Returns the SSN stored for `addr` (0 when no store committed there).
-    pub fn query(&mut self, addr: u64) -> u64 {
+    pub(crate) fn query(&mut self, addr: u64) -> u64 {
         self.lookups += 1;
         self.table[self.index(addr)]
     }
@@ -82,13 +77,8 @@ impl StoreSequenceBloomFilter {
     }
 
     /// Number of lookups performed (for Table 2's SSBF column).
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.lookups
-    }
-
-    /// Number of updates performed.
-    pub fn updates(&self) -> u64 {
-        self.updates
     }
 
     /// Clears the filter (used between warm-up and measurement).
@@ -104,7 +94,7 @@ mod tests {
     #[test]
     fn basic_record_and_query() {
         let mut f = StoreSequenceBloomFilter::new(10);
-        assert_eq!(f.entries(), 1024);
+        assert_eq!(f.table.len(), 1024);
         assert_eq!(f.storage_bytes(), 2048);
         assert_eq!(f.query(0x40), 0);
         f.record_store_commit(0x40, 17);
@@ -112,7 +102,7 @@ mod tests {
         // An older SSN never overwrites a newer one.
         f.record_store_commit(0x40, 5);
         assert_eq!(f.query(0x40), 17);
-        assert_eq!(f.updates(), 2);
+        assert_eq!(f.updates, 2);
         assert_eq!(f.lookups(), 3);
     }
 
@@ -144,7 +134,7 @@ mod tests {
         f.record_store_commit(0x3, 3);
         f.clear();
         assert_eq!(f.query(0x3), 0);
-        assert_eq!(f.updates(), 1);
+        assert_eq!(f.updates, 1);
     }
 
     #[test]

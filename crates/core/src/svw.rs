@@ -65,11 +65,6 @@ impl SvwReexecutor {
         }
     }
 
-    /// Whether the CheckStores filter is active.
-    pub fn check_stores(&self) -> bool {
-        self.check_stores
-    }
-
     /// Statistics.
     pub fn stats(&self) -> &SvwStats {
         &self.stats
@@ -189,6 +184,6 @@ mod tests {
             unknown_store_between: false,
         });
         assert_eq!(svw.ssbf_lookups(), 1);
-        assert!(svw.check_stores());
+        assert!(svw.check_stores);
     }
 }

@@ -61,7 +61,7 @@ impl Default for FmcConfig {
 
 impl FmcConfig {
     /// Total Memory Processor window (instructions across all engines).
-    pub fn total_window(&self) -> usize {
+    pub(crate) fn total_window(&self) -> usize {
         self.num_engines * self.me_max_insts
     }
 }
@@ -198,16 +198,6 @@ impl CpuConfig {
         }
         Ok(())
     }
-
-    /// Effective window size: ROB plus the Memory Processor window.
-    pub fn window_size(&self) -> usize {
-        self.rob_size + self.fmc.map(|f| f.total_window()).unwrap_or(0)
-    }
-
-    /// Whether the Memory Processor is enabled.
-    pub fn is_fmc(&self) -> bool {
-        self.fmc.is_some()
-    }
 }
 
 impl Default for CpuConfig {
@@ -227,8 +217,7 @@ mod tests {
         assert_eq!(c.rob_size, 64);
         assert_eq!(c.cache_ports, 2);
         assert_eq!(c.hierarchy.memory_latency, 400);
-        assert!(!c.is_fmc());
-        assert_eq!(c.window_size(), 64);
+        assert!(c.fmc.is_none());
         let f = FmcConfig::default();
         assert_eq!(f.num_engines, 16);
         assert_eq!(f.me_max_insts, 128);
@@ -297,8 +286,7 @@ mod tests {
             panic!("expected central LSQ");
         }
         let f = CpuConfig::fmc_hash_svw(8, false);
-        assert!(f.is_fmc());
-        assert_eq!(f.window_size(), 64 + 2048);
+        assert_eq!(f.fmc.map(|f| f.total_window()), Some(2048));
         if let LsqKind::Elsq(e) = f.lsq {
             assert!(e.reexec.is_svw());
         } else {

@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod lsq_driver;
+pub(crate) mod lsq_driver;
 pub mod pipeline;
 pub mod result;
 

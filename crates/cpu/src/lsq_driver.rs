@@ -4,7 +4,7 @@
 
 use elsq_core::central::CentralLsq;
 use elsq_core::elsq::{Elsq, MigrateError};
-use elsq_core::queue::MemOpKind;
+use elsq_core::queue::{LoadOutcome, MemOpKind, StoreOutcome};
 use elsq_isa::MemAccess;
 use elsq_mem::cache::SetAssocCache;
 use elsq_stats::counters::LsqAccessCounters;
@@ -21,35 +21,6 @@ pub enum ExecSite {
         /// The epoch bank.
         bank: usize,
     },
-}
-
-/// Result of issuing a load through the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriverLoadResult {
-    /// Sequence number of the forwarding store, if the load forwards from
-    /// an in-flight store.
-    pub forwarded_from: Option<u64>,
-    /// Cycle when the forwarding store's data is available.
-    pub forward_ready_at: Option<u64>,
-    /// Whether the forwarding store only partially covers the load.
-    pub partial_overlap: bool,
-    /// Extra latency from filters, searches and network trips.
-    pub extra_latency: u32,
-    /// Line-based ERT lock conflict: the window must be squashed.
-    pub needs_squash: bool,
-    /// Whether an older store still had an unknown address at issue.
-    pub older_unknown_store: bool,
-}
-
-/// Result of resolving a store address through the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriverStoreResult {
-    /// A younger issued load read stale data: squash from this load.
-    pub violation_load_seq: Option<u64>,
-    /// Extra latency from searches and network trips.
-    pub extra_latency: u32,
-    /// Line-based ERT lock conflict: the window must be squashed.
-    pub needs_squash: bool,
 }
 
 /// The LSQ backend driven by the pipeline.
@@ -100,33 +71,13 @@ impl LsqDriver {
         cycle: u64,
         site: ExecSite,
         l1: Option<&mut SetAssocCache>,
-    ) -> DriverLoadResult {
+    ) -> LoadOutcome {
         match self {
-            LsqDriver::Central(l) => {
-                let out = l.issue_load(seq, addr, cycle);
-                DriverLoadResult {
-                    forwarded_from: out.forward.map(|f| f.store_seq),
-                    forward_ready_at: out.forward.map(|f| f.data_ready_at),
-                    partial_overlap: out.forward.map(|f| !f.full_cover).unwrap_or(false),
-                    extra_latency: 1,
-                    needs_squash: false,
-                    older_unknown_store: out.older_unknown_store,
-                }
-            }
-            LsqDriver::Elsq(l) => {
-                let out = match site {
-                    ExecSite::CacheProcessor => l.issue_hl_load(seq, addr, cycle),
-                    ExecSite::MemoryEngine { bank } => l.issue_ll_load(bank, seq, addr, cycle, l1),
-                };
-                DriverLoadResult {
-                    forwarded_from: out.forwarded_from,
-                    forward_ready_at: out.forward_ready_at,
-                    partial_overlap: out.partial_overlap_with.is_some(),
-                    extra_latency: out.extra_latency,
-                    needs_squash: out.lock_conflict_squash,
-                    older_unknown_store: out.older_unknown_store,
-                }
-            }
+            LsqDriver::Central(l) => l.issue_load(seq, addr, cycle),
+            LsqDriver::Elsq(l) => match site {
+                ExecSite::CacheProcessor => l.issue_hl_load(seq, addr, cycle),
+                ExecSite::MemoryEngine { bank } => l.issue_ll_load(bank, seq, addr, cycle, l1),
+            },
         }
     }
 
@@ -138,26 +89,15 @@ impl LsqDriver {
         cycle: u64,
         site: ExecSite,
         l1: Option<&mut SetAssocCache>,
-    ) -> DriverStoreResult {
+    ) -> StoreOutcome {
         match self {
-            LsqDriver::Central(l) => DriverStoreResult {
-                violation_load_seq: l.store_address_ready(seq, addr, cycle),
-                extra_latency: 1,
-                needs_squash: false,
-            },
-            LsqDriver::Elsq(l) => {
-                let out = match site {
-                    ExecSite::CacheProcessor => l.hl_store_address_ready(seq, addr, cycle),
-                    ExecSite::MemoryEngine { bank } => {
-                        l.ll_store_address_ready(bank, seq, addr, cycle, l1)
-                    }
-                };
-                DriverStoreResult {
-                    violation_load_seq: out.violation_load_seq,
-                    extra_latency: out.extra_latency,
-                    needs_squash: out.lock_conflict_squash,
+            LsqDriver::Central(l) => l.store_address_ready(seq, addr, cycle),
+            LsqDriver::Elsq(l) => match site {
+                ExecSite::CacheProcessor => l.hl_store_address_ready(seq, addr, cycle),
+                ExecSite::MemoryEngine { bank } => {
+                    l.ll_store_address_ready(bank, seq, addr, cycle, l1)
                 }
-            }
+            },
         }
     }
 
@@ -282,7 +222,7 @@ mod tests {
         let st = d.resolve_store(1, acc(0x80), 5, ExecSite::CacheProcessor, None);
         assert!(st.violation_load_seq.is_none());
         let ld = d.issue_load(2, acc(0x80), 6, ExecSite::CacheProcessor, None);
-        assert_eq!(ld.forwarded_from, Some(1));
+        assert_eq!(ld.forward.map(|f| f.store_seq), Some(1));
         d.commit_mem(MemOpKind::Store, 1);
         d.commit_mem(MemOpKind::Load, 2);
         assert!(!d.ll_active());
@@ -303,12 +243,12 @@ mod tests {
         assert_eq!(d.epochs_allocated(), 1);
         assert!(d.allocate(MemOpKind::Load, 5));
         let ld = d.issue_load(5, acc(0x100), 9, ExecSite::CacheProcessor, None);
-        assert!(ld.forwarded_from.is_some());
+        assert!(ld.forward.is_some());
         // A low-locality load in the same bank sees the store locally.
         assert!(d.allocate(MemOpKind::Load, 6));
         d.migrate(MemOpKind::Load, 6, None).unwrap();
         let ld = d.issue_load(6, acc(0x100), 12, ExecSite::MemoryEngine { bank }, None);
-        assert!(ld.forwarded_from.is_some());
+        assert!(ld.forward.is_some());
         d.retire_oldest_epoch(None);
         assert!(!d.ll_active());
         let counters = d.counters();

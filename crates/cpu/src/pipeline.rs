@@ -239,11 +239,6 @@ impl Processor {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CpuConfig {
-        &self.config
-    }
-
     /// Runs `workload` until `max_commits` correct-path instructions have
     /// committed (or the trace ends) and returns the collected statistics.
     pub fn run(&mut self, workload: &mut dyn TraceSource, max_commits: u64) -> SimResult {
@@ -807,7 +802,7 @@ impl Processor {
                 .lsq
                 .resolve_store(seq, mem, issue, site, Some(st.hierarchy.l1_mut()));
             let complete = issue.max(ready) + 1 + out.extra_latency as u64;
-            let squash = out.needs_squash || out.violation_load_seq.is_some();
+            let squash = out.lock_conflict || out.violation_load_seq.is_some();
             return MemExec {
                 issue,
                 complete,
@@ -820,20 +815,19 @@ impl Processor {
             .lsq
             .issue_load(seq, mem, issue, site, Some(st.hierarchy.l1_mut()));
         let extra = out.extra_latency as u64;
-        let complete = if out.forwarded_from.is_some() {
+        let complete = if let Some(forward) = out.forward {
             if site == ExecSite::CacheProcessor {
                 // The Cache Processor accesses the cache alongside its
                 // store-queue search.
                 st.cache_ports.reserve(issue);
                 st.hierarchy.access(mem.addr, false);
             }
-            let data_at = out.forward_ready_at.unwrap_or(issue).max(issue);
-            let penalty = if out.partial_overlap {
-                PARTIAL_OVERLAP_PENALTY
-            } else {
+            let penalty = if forward.full_cover {
                 0
+            } else {
+                PARTIAL_OVERLAP_PENALTY
             };
-            data_at + 1 + extra + penalty
+            forward.data_ready_at.max(issue) + 1 + extra + penalty
         } else {
             // From a Memory Engine the access crosses the network both ways;
             // with a central LSQ the search itself also pays the round trip
@@ -849,9 +843,9 @@ impl Processor {
         MemExec {
             issue,
             complete,
-            forwarded_from: out.forwarded_from,
+            forwarded_from: out.forward.map(|f| f.store_seq),
             older_unknown_store: out.older_unknown_store,
-            squash_at: out.needs_squash.then_some(issue),
+            squash_at: out.lock_conflict.then_some(issue),
         }
     }
 

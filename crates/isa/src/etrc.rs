@@ -56,9 +56,9 @@ use crate::trace::TraceSource;
 use crate::wrongpath::{WrongPathSpec, WrongPathSynth};
 
 /// File magic, first 8 bytes of every `.etrc` file.
-pub const MAGIC: [u8; 8] = *b"ELSQETRC";
+pub(crate) const MAGIC: [u8; 8] = *b"ELSQETRC";
 /// Trailer magic, written after the end-of-blocks marker.
-pub const END_MAGIC: [u8; 8] = *b"ETRCEND\0";
+pub(crate) const END_MAGIC: [u8; 8] = *b"ETRCEND\0";
 /// Original format version: no checkpoint directory.
 pub const FORMAT_VERSION: u16 = 1;
 /// Format version 2: the header carries a checkpoint directory between the
@@ -66,9 +66,9 @@ pub const FORMAT_VERSION: u16 = 1;
 /// window without decoding the prefix.
 pub const FORMAT_VERSION_V2: u16 = 2;
 /// Default uncompressed block payload target in bytes.
-pub const DEFAULT_BLOCK_TARGET: u32 = 64 * 1024;
+pub(crate) const DEFAULT_BLOCK_TARGET: u32 = 64 * 1024;
 /// Header flag bit: a wrong-path spec is present.
-pub const FLAG_WRONG_PATH: u16 = 1 << 0;
+pub(crate) const FLAG_WRONG_PATH: u16 = 1 << 0;
 
 /// Suite tag: the trace is not part of a recorded suite.
 pub const SUITE_NONE: u8 = 0;
@@ -78,18 +78,18 @@ pub const SUITE_FP: u8 = 1;
 pub const SUITE_INT: u8 = 2;
 
 /// Block encoding: payload stored uncompressed.
-pub const ENC_RAW: u8 = 0;
+pub(crate) const ENC_RAW: u8 = 0;
 /// Block encoding: payload LZSS compressed (see `docs/TRACE_FORMAT.md`).
-pub const ENC_LZSS: u8 = 1;
+pub(crate) const ENC_LZSS: u8 = 1;
 
 const HEADER_FIXED_LEN: usize = 60;
 const BLOCK_HEADER_LEN: usize = 17;
 const TRAILER_LEN: usize = 20;
 /// Fixed on-disk size of one checkpoint directory entry.
-pub const CHECKPOINT_ENTRY_LEN: usize = 32;
+pub(crate) const CHECKPOINT_ENTRY_LEN: usize = 32;
 /// Upper bound on directory entries a reader will accept. A million entries
 /// is already a 32 MiB header; anything larger is treated as corruption.
-pub const MAX_CHECKPOINTS: u32 = 1 << 20;
+pub(crate) const MAX_CHECKPOINTS: u32 = 1 << 20;
 /// Minimum LZSS match length; shorter repeats are emitted as literals.
 const LZSS_MIN_MATCH: usize = 4;
 /// Maximum LZSS match length (`LZSS_MIN_MATCH + 255`).
@@ -260,7 +260,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE) of `data`, the checksum every `.etrc` structure uses.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
@@ -1131,7 +1131,7 @@ pub struct TraceStats {
 /// Decodes one block at a time: block framing is read lazily, payloads are
 /// CRC-checked before any record is decoded, and the trailer count is
 /// verified against the number of records the reader passed (decoded, or
-/// skipped with [`EtrcReader::skip_insts`]).
+/// skipped with `skip_insts`).
 pub struct EtrcReader<R: Read> {
     src: R,
     meta: TraceMeta,
@@ -1179,13 +1179,8 @@ impl<R: Read> EtrcReader<R> {
     }
 
     /// The header metadata.
-    pub fn meta(&self) -> &TraceMeta {
+    pub(crate) fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// The header's checkpoint directory (empty for version-1 files).
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
     }
 
     /// Statistics over everything decoded so far (complete once
@@ -1367,7 +1362,7 @@ impl<R: Read + Seek> EtrcReader<R> {
     /// [`TraceStats::insts`] counts skipped records too, so the trailer
     /// count is still verified, and a skip never consumes the end-of-blocks
     /// marker: the decode after it reaches the trailer check as usual.
-    pub fn skip_insts(&mut self, n: u64) -> Result<u64, EtrcError> {
+    pub(crate) fn skip_insts(&mut self, n: u64) -> Result<u64, EtrcError> {
         let start = self.stats.insts;
         let target = start.saturating_add(n);
         let ahead = self
@@ -1425,7 +1420,7 @@ impl<R: Read + Seek> EtrcReader<R> {
 /// [`TraceSource::skip_insts`] is exact and cheap: it jumps through the
 /// version-2 checkpoint directory when a checkpoint lies ahead, passes
 /// whole blocks by their headers alone, and decodes at most the one block
-/// the skip ends inside ([`EtrcReader::skip_insts`]).
+/// the skip ends inside (`EtrcReader::skip_insts`).
 ///
 /// # Panics
 ///
@@ -1451,16 +1446,6 @@ impl FileTrace {
             wrong_path,
             path,
         })
-    }
-
-    /// The header metadata.
-    pub fn meta(&self) -> &TraceMeta {
-        self.reader.meta()
-    }
-
-    /// The path the trace was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -1595,6 +1580,13 @@ mod tests {
     use super::*;
     use crate::inst::InstBuilder;
     use crate::trace::VecTrace;
+
+    impl<R: Read> EtrcReader<R> {
+        /// The header's checkpoint directory (empty for version-1 files).
+        fn checkpoints(&self) -> &[Checkpoint] {
+            &self.checkpoints
+        }
+    }
 
     fn sample_stream(n: usize) -> Vec<DynInst> {
         let mut insts = Vec::with_capacity(n);

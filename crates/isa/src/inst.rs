@@ -58,12 +58,6 @@ impl MemAccess {
     pub fn covered_by(&self, other: &MemAccess) -> bool {
         other.start() <= self.start() && self.end() <= other.end()
     }
-
-    /// The cache line address for a given line size (must be a power of two).
-    pub fn line(&self, line_bytes: u64) -> u64 {
-        debug_assert!(line_bytes.is_power_of_two());
-        self.addr & !(line_bytes - 1)
-    }
 }
 
 /// Branch payload: the resolved outcome as known by the trace generator.
@@ -114,7 +108,7 @@ impl DynInst {
     }
 
     /// Whether this is a memory operation.
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         self.op.is_mem()
     }
 
@@ -370,8 +364,6 @@ mod tests {
         assert!(!a.overlaps(&c));
         assert!(b.covered_by(&a));
         assert!(!a.covered_by(&b));
-        assert_eq!(a.line(32), 0x100);
-        assert_eq!(MemAccess::new(0x13f, 1).line(32), 0x120);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::reg::RegClass;
-
 /// Coarse operation class.
 ///
 /// Determines the issue queue (integer vs floating point), whether the
@@ -53,7 +51,7 @@ impl OpClass {
 
     /// Default execution latency in cycles (not counting memory access time
     /// for loads/stores, which is determined by the cache hierarchy).
-    pub fn default_latency(&self) -> u32 {
+    pub(crate) fn default_latency(&self) -> u32 {
         match self {
             OpClass::IntAlu => 1,
             OpClass::IntMul => 7,
@@ -69,26 +67,8 @@ impl OpClass {
     }
 
     /// Whether the operation is a memory reference.
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
-    }
-
-    /// Whether the operation executes in the floating-point cluster.
-    pub fn is_fp(&self) -> bool {
-        matches!(self, OpClass::FpAlu | OpClass::FpMul | OpClass::FpDiv)
-    }
-
-    /// The register class of the issue queue this operation dispatches to.
-    ///
-    /// Memory and control instructions use the integer queue (their address /
-    /// condition operands are integer registers), matching the paper's
-    /// CP/ME queue split.
-    pub fn queue_class(&self) -> RegClass {
-        if self.is_fp() {
-            RegClass::Fp
-        } else {
-            RegClass::Int
-        }
     }
 }
 
@@ -171,7 +151,7 @@ impl Op {
     }
 
     /// Whether this is a memory operation (load or store).
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         self.class.is_mem()
     }
 
@@ -202,16 +182,6 @@ mod tests {
         for class in OpClass::ALL {
             assert!(class.default_latency() >= 1, "{class} latency must be >= 1");
         }
-    }
-
-    #[test]
-    fn queue_classes() {
-        assert_eq!(OpClass::Load.queue_class(), RegClass::Int);
-        assert_eq!(OpClass::Store.queue_class(), RegClass::Int);
-        assert_eq!(OpClass::Branch.queue_class(), RegClass::Int);
-        assert_eq!(OpClass::FpMul.queue_class(), RegClass::Fp);
-        assert_eq!(OpClass::FpDiv.queue_class(), RegClass::Fp);
-        assert_eq!(OpClass::IntAlu.queue_class(), RegClass::Int);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl ArchReg {
             RegClass::Fp => NUM_ARCH_REGS_PER_CLASS as usize + self.index as usize,
         }
     }
-
-    /// Total number of architectural registers across both classes.
-    pub const fn total_count() -> usize {
-        2 * NUM_ARCH_REGS_PER_CLASS as usize
-    }
 }
 
 impl fmt::Display for ArchReg {
@@ -151,11 +146,9 @@ mod tests {
             assert!(seen.insert(ArchReg::int(i).flat_index()));
             assert!(seen.insert(ArchReg::fp(i).flat_index()));
         }
-        assert_eq!(seen.len(), ArchReg::total_count());
-        assert_eq!(
-            seen.iter().max().copied().unwrap(),
-            ArchReg::total_count() - 1
-        );
+        let total = 2 * NUM_ARCH_REGS_PER_CLASS as usize;
+        assert_eq!(seen.len(), total);
+        assert_eq!(seen.iter().max().copied().unwrap(), total - 1);
     }
 
     #[test]

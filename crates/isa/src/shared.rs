@@ -178,7 +178,7 @@ impl SharedStream {
     }
 
     /// The captured source's report name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -200,7 +200,7 @@ impl SharedStream {
     }
 
     /// The captured wrong-path spec, if the source had one.
-    pub fn wrong_path_spec(&self) -> Option<WrongPathSpec> {
+    pub(crate) fn wrong_path_spec(&self) -> Option<WrongPathSpec> {
         self.wrong_path.as_ref().map(|tape| tape.spec())
     }
 

@@ -114,7 +114,7 @@ struct Drawn {
 impl WrongPathTape {
     /// An empty tape over `spec`'s stream: nothing is drawn until a cursor
     /// reads a position.
-    pub(crate) fn new(spec: WrongPathSpec) -> Self {
+    pub fn new(spec: WrongPathSpec) -> Self {
         Self {
             spec,
             drawn: Mutex::new(Drawn {
@@ -125,7 +125,7 @@ impl WrongPathTape {
     }
 
     /// The spec the stream is drawn from.
-    pub(crate) fn spec(&self) -> WrongPathSpec {
+    pub fn spec(&self) -> WrongPathSpec {
         self.spec
     }
 
@@ -159,7 +159,7 @@ pub(crate) struct TapeCursor {
 
 impl TapeCursor {
     /// A cursor at the start of `tape`.
-    pub(crate) fn new(tape: Arc<WrongPathTape>) -> Self {
+    pub fn new(tape: Arc<WrongPathTape>) -> Self {
         Self {
             tape,
             pos: 0,
@@ -168,7 +168,7 @@ impl TapeCursor {
     }
 
     /// [`WrongPathSynth::run`] over the tape.
-    pub(crate) fn run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
+    pub fn run(&mut self, pc: u64, max: u64) -> (u64, Option<DynInst>) {
         let start = self.pos;
         let end = start + max;
         while self.pos < end {
@@ -192,7 +192,7 @@ impl TapeCursor {
     }
 
     /// [`WrongPathSynth::skip`] over the tape: only the position moves.
-    pub(crate) fn skip(&mut self, n: u64) {
+    pub fn skip(&mut self, n: u64) {
         self.pos += n;
     }
 }

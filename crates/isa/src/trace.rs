@@ -133,7 +133,8 @@ impl VecTrace {
     }
 
     /// Creates a named trace (the name shows up in experiment reports).
-    pub fn with_name(insts: Vec<DynInst>, name: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_name(insts: Vec<DynInst>, name: impl Into<String>) -> Self {
         Self {
             insts,
             pos: 0,
@@ -142,13 +143,9 @@ impl VecTrace {
     }
 
     /// Number of instructions remaining.
-    pub fn remaining(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> usize {
         self.insts.len() - self.pos
-    }
-
-    /// Resets the trace to its beginning.
-    pub fn reset(&mut self) {
-        self.pos = 0;
     }
 }
 
@@ -175,7 +172,6 @@ impl TraceSource for VecTrace {
 pub struct LoopTrace {
     insts: Vec<DynInst>,
     pos: usize,
-    iteration: u64,
     name: String,
 }
 
@@ -193,14 +189,8 @@ impl LoopTrace {
         Self {
             insts,
             pos: 0,
-            iteration: 0,
             name: "loop-trace".to_owned(),
         }
-    }
-
-    /// Number of completed iterations over the inner sequence.
-    pub fn iterations(&self) -> u64 {
-        self.iteration
     }
 
     /// Sets the report name.
@@ -216,7 +206,6 @@ impl TraceSource for LoopTrace {
         self.pos += 1;
         if self.pos == self.insts.len() {
             self.pos = 0;
-            self.iteration += 1;
         }
         Some(inst)
     }
@@ -247,18 +236,16 @@ mod tests {
         assert_eq!(t.next_inst().unwrap().pc, 8);
         assert!(t.next_inst().is_none());
         assert_eq!(t.remaining(), 0);
-        t.reset();
-        assert_eq!(t.remaining(), 3);
     }
 
     #[test]
     fn loop_trace_wraps_and_counts_iterations() {
-        let mut t = LoopTrace::new(mk(2)).named("kernel");
+        let insts = mk(2);
+        let mut t = LoopTrace::new(insts.clone()).named("kernel");
         assert_eq!(t.name(), "kernel");
-        for _ in 0..5 {
-            assert!(t.next_inst().is_some());
-        }
-        assert_eq!(t.iterations(), 2);
+        // Two whole iterations, then the third begins.
+        let seen: Vec<DynInst> = (0..5).map(|_| t.next_inst().unwrap()).collect();
+        assert_eq!(seen, [insts[0], insts[1], insts[0], insts[1], insts[0]]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl CacheConfig {
     }
 
     /// The paper's default L2: 2 MB, 4-way, 10 cycles.
-    pub fn default_l2() -> Self {
+    pub(crate) fn default_l2() -> Self {
         Self {
             size_bytes: 2 * 1024 * 1024,
             assoc: 4,
@@ -46,7 +46,7 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the configuration.
-    pub fn num_sets(&self) -> u64 {
+    pub(crate) fn num_sets(&self) -> u64 {
         self.size_bytes / (self.line_bytes * self.assoc as u64)
     }
 
@@ -205,19 +205,9 @@ impl SetAssocCache {
         }
     }
 
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets statistics (used between warm-up and measurement phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// The ways of the set `addr` maps to, and its tag.
@@ -356,21 +346,18 @@ impl SetAssocCache {
             line.locks -= 1;
         }
     }
-
-    /// Number of currently locked lines (across all sets).
-    pub fn locked_lines(&self) -> usize {
-        self.lines.iter().flatten().filter(|l| l.locks > 0).count()
-    }
-
-    /// Invalidates the whole cache contents but keeps statistics.
-    pub fn flush(&mut self) {
-        self.lines.fill(None);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SetAssocCache {
+        /// Number of currently locked lines (across all sets).
+        fn locked_lines(&self) -> usize {
+            self.lines.iter().flatten().filter(|l| l.locks > 0).count()
+        }
+    }
 
     fn small_cache(assoc: u32) -> SetAssocCache {
         // 4 sets x `assoc` ways x 32-byte lines.
@@ -474,17 +461,6 @@ mod tests {
         // Unlocking an unlocked / absent line is a no-op.
         c.unlock_line(0x000);
         c.unlock_line(0xdead_0000);
-    }
-
-    #[test]
-    fn flush_clears_contents_but_not_stats() {
-        let mut c = small_cache(2);
-        c.access(0x40, true);
-        c.flush();
-        assert!(!c.probe(0x40));
-        assert_eq!(c.stats().misses, 1);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
     }
 
     #[test]

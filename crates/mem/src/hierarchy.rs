@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
+use crate::cache::{CacheConfig, SetAssocCache};
 
 /// Which level of the hierarchy serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -22,14 +22,6 @@ pub enum ServiceLevel {
     L2,
     /// Missed both caches; serviced by main memory.
     Memory,
-}
-
-impl ServiceLevel {
-    /// Whether this access constitutes an L2 miss (the paper's definition of
-    /// a long-latency, low-locality event).
-    pub fn is_long_latency(&self) -> bool {
-        matches!(self, ServiceLevel::Memory)
-    }
 }
 
 /// Result of a hierarchy access.
@@ -106,11 +98,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
     /// Performs an access, updating both cache levels, and returns the
     /// latency and servicing level.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
@@ -136,7 +123,7 @@ impl MemoryHierarchy {
     }
 
     /// Non-destructive probe: would `addr` hit in L1 / L2 / memory?
-    pub fn probe_level(&self, addr: u64) -> ServiceLevel {
+    pub(crate) fn probe_level(&self, addr: u64) -> ServiceLevel {
         if self.l1.probe(addr) {
             ServiceLevel::L1
         } else if self.l2.probe(addr) {
@@ -162,36 +149,9 @@ impl MemoryHierarchy {
         &mut self.l1
     }
 
-    /// Shared access to the L1 cache.
-    pub fn l1(&self) -> &SetAssocCache {
-        &self.l1
-    }
-
-    /// Shared access to the L2 cache.
-    pub fn l2(&self) -> &SetAssocCache {
-        &self.l2
-    }
-
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
-    }
-
     /// Total number of accesses made through the hierarchy.
     pub fn total_accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Resets statistics on both levels (warm-up support).
-    pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.accesses = 0;
     }
 }
 
@@ -249,13 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn long_latency_classification() {
-        assert!(ServiceLevel::Memory.is_long_latency());
-        assert!(!ServiceLevel::L2.is_long_latency());
-        assert!(!ServiceLevel::L1.is_long_latency());
-    }
-
-    #[test]
     fn config_sweep_helpers() {
         let cfg = HierarchyConfig::default()
             .with_l2_mb(8)
@@ -266,15 +219,5 @@ mod tests {
         // The resulting configs must stay valid.
         assert!(cfg.l1.validate().is_ok());
         assert!(cfg.l2.validate().is_ok());
-    }
-
-    #[test]
-    fn reset_stats_clears_counts() {
-        let mut m = MemoryHierarchy::new(HierarchyConfig::default());
-        m.access(0x10, true);
-        m.reset_stats();
-        assert_eq!(m.l1_stats().accesses(), 0);
-        assert_eq!(m.l2_stats().accesses(), 0);
-        assert_eq!(m.total_accesses(), 0);
     }
 }

@@ -80,11 +80,6 @@ impl PortSchedule {
         }
     }
 
-    /// Number of ports per cycle.
-    pub fn ports(&self) -> u32 {
-        u32::from(self.ports)
-    }
-
     /// Reserves a port at the earliest cycle `>= earliest` and returns that
     /// cycle.
     pub fn reserve(&mut self, earliest: u64) -> u64 {
@@ -147,19 +142,6 @@ impl PortSchedule {
             cycle += 1;
         }
         free.min(cap)
-    }
-
-    /// Returns how many ports are free at `cycle` (0 if fully used).
-    pub fn free_at(&self, cycle: u64) -> u32 {
-        if cycle < self.base {
-            return 0;
-        }
-        let used = if cycle - self.base < self.span {
-            self.used[self.slot(cycle)]
-        } else {
-            0
-        };
-        u32::from(self.ports - used)
     }
 
     /// Advances the pruning horizon: bookkeeping for cycles before `cycle`
@@ -256,6 +238,21 @@ impl PortSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PortSchedule {
+        /// Returns how many ports are free at `cycle` (0 if fully used).
+        fn free_at(&self, cycle: u64) -> u32 {
+            if cycle < self.base {
+                return 0;
+            }
+            let used = if cycle - self.base < self.span {
+                self.used[self.slot(cycle)]
+            } else {
+                0
+            };
+            u32::from(self.ports - used)
+        }
+    }
 
     #[test]
     fn reservations_fill_cycles_in_order() {

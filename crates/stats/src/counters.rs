@@ -113,18 +113,6 @@ impl LsqAccessCounters {
     pub fn total_lsq_searches(&self) -> u64 {
         self.hl_lq_searches + self.hl_sq_searches + self.ll_lq_searches + self.ll_sq_searches
     }
-
-    /// Fraction of ERT-directed remote searches that were useless
-    /// (false-positive rate of the global filter). Returns `None` when the
-    /// filter never fired.
-    pub fn ert_false_positive_rate(&self) -> Option<f64> {
-        let total = self.ert_false_positives + self.ert_true_positives;
-        if total == 0 {
-            None
-        } else {
-            Some(self.ert_false_positives as f64 / total as f64)
-        }
-    }
 }
 
 impl Add for LsqAccessCounters {
@@ -210,17 +198,6 @@ impl SimCounters {
             self.ll_idle_cycles as f64 / self.cycles as f64
         }
     }
-
-    /// Mean decode-to-address-calculation distance over committed memory
-    /// instructions, in cycles.
-    pub fn mean_addr_calc_distance(&self) -> f64 {
-        let mem = self.committed_loads + self.committed_stores;
-        if mem == 0 {
-            0.0
-        } else {
-            self.addr_calc_distance_sum as f64 / mem as f64
-        }
-    }
 }
 
 impl AddAssign for SimCounters {
@@ -281,15 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn false_positive_rate() {
-        let mut c = LsqAccessCounters::default();
-        assert!(c.ert_false_positive_rate().is_none());
-        c.ert_false_positives = 1;
-        c.ert_true_positives = 3;
-        assert!((c.ert_false_positive_rate().unwrap() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn ipc_and_idle_fraction() {
         let mut s = SimCounters::default();
         assert_eq!(s.ipc(), 0.0);
@@ -298,16 +266,6 @@ mod tests {
         s.ll_idle_cycles = 400;
         assert!((s.ipc() - 1.5).abs() < 1e-12);
         assert!((s.ll_idle_fraction() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_addr_distance() {
-        let mut s = SimCounters::default();
-        assert_eq!(s.mean_addr_calc_distance(), 0.0);
-        s.committed_loads = 3;
-        s.committed_stores = 1;
-        s.addr_calc_distance_sum = 40;
-        assert!((s.mean_addr_calc_distance() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl ExperimentParams {
             sample: None,
         }
     }
-
-    /// Builder-style: the same parameters under a sampling spec.
-    pub fn with_sample(mut self, sample: SamplingSpec) -> Self {
-        self.sample = Some(sample);
-        self
-    }
 }
 
 impl Default for ExperimentParams {
@@ -612,7 +606,10 @@ mod tests {
             serde_json::from_str("{\"commits\": 5000, \"seed\": 7}").unwrap();
         assert_eq!(legacy, full);
         // ... while sampled params round-trip with the key present.
-        let sampled = full.with_sample(SamplingSpec::parse("1000:100:50").unwrap());
+        let sampled = ExperimentParams {
+            sample: Some(SamplingSpec::parse("1000:100:50").unwrap()),
+            ..full
+        };
         let json = serde_json::to_string(&sampled).unwrap();
         assert!(json.contains("sample"), "{json}");
         let back: ExperimentParams = serde_json::from_str(&json).unwrap();
@@ -622,8 +619,10 @@ mod tests {
     #[test]
     fn sampled_report_headers_name_the_spec() {
         use crate::sampling::SamplingSpec;
-        let params =
-            ExperimentParams::quick().with_sample(SamplingSpec::parse("1000:100").unwrap());
+        let params = ExperimentParams {
+            sample: Some(SamplingSpec::parse("1000:100").unwrap()),
+            ..ExperimentParams::quick()
+        };
         let r = Report::new("s", "sampled", params);
         assert!(r.render().contains("sample=1000:100:0"), "{}", r.render());
         let full = Report::new("f", "full", ExperimentParams::quick());

@@ -14,10 +14,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use elsq_isa::etrc::{self, EtrcError, FileTrace, TraceMeta, TraceStats};
-use elsq_isa::{SharedStream, TraceSource};
+use elsq_isa::TraceSource;
 
 use crate::compress::CompressInt;
 use crate::hashtab::HashTableInt;
@@ -99,24 +98,6 @@ pub fn suite(class: WorkloadClass, seed: u64) -> Vec<Box<dyn TraceSource>> {
         WorkloadClass::Fp => fp_suite(seed),
         WorkloadClass::Int => int_suite(seed),
     }
-}
-
-/// The suite captured as shareable streams: each member's correct path is
-/// generated once (up to `commits` instructions — one per committed
-/// instruction a processor run consumes) and handed out read-only through
-/// [`SharedStream::cursor`]. This is how batched sweeps pay workload
-/// generation once per batch group instead of once per config point.
-pub fn shared_suite(class: WorkloadClass, seed: u64, commits: u64) -> Vec<Arc<SharedStream>> {
-    capture_suite(suite(class, seed), commits)
-}
-
-/// Captures an already-built suite (generators or `.etrc` replays) into
-/// shareable streams, in suite order.
-pub fn capture_suite(members: Vec<Box<dyn TraceSource>>, commits: u64) -> Vec<Arc<SharedStream>> {
-    members
-        .into_iter()
-        .map(|mut w| Arc::new(SharedStream::capture(w.as_mut(), commits)))
-        .collect()
 }
 
 /// Number of workloads in each suite.

@@ -39,8 +39,8 @@ fn main() {
     lsq.allocate_hl(MemOpKind::Load, 2).expect("HL-LQ has room");
     let outcome = lsq.issue_hl_load(2, MemAccess::new(0x1000, 8), 25);
     println!(
-        "forwarded from store {:?} (source {:?}, +{} cycles)",
-        outcome.forwarded_from, outcome.forward_source, outcome.extra_latency
+        "forwarded from {:?} (+{} cycles)",
+        outcome.forward, outcome.extra_latency
     );
     println!("ELSQ counters after the exchange: {:#?}\n", lsq.counters());
 
