@@ -93,12 +93,9 @@ impl CentralLsq {
         &self.counters
     }
 
-    /// Whether the queue for `kind` has room for another entry.
-    pub fn has_room(&self, kind: MemOpKind) -> bool {
-        match kind {
-            MemOpKind::Load => !self.lq.is_full(),
-            MemOpKind::Store => !self.sq.is_full(),
-        }
+    /// Free load queue entries; `None` when the load queue is unlimited.
+    pub fn free_load_entries(&self) -> Option<usize> {
+        self.lq.free_entries()
     }
 
     /// Allocates an entry at decode.
@@ -113,15 +110,21 @@ impl CentralLsq {
         }
     }
 
-    /// A load issues: record its address, search the store queue for
-    /// forwarding, and report whether older unknown-address stores exist.
-    /// The search takes one cycle.
-    ///
-    /// Counts one HL-SQ search (the central queues are reported in the HL
-    /// columns of Table 2, matching the paper's OoO-64 rows).
+    /// A load issues: record its address and issue cycle in its entry, then
+    /// run [`CentralLsq::search_load`].
     pub fn issue_load(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> LoadOutcome {
         self.lq.set_address(seq, addr);
         self.lq.set_issued(seq, cycle);
+        self.search_load(seq, addr)
+    }
+
+    /// The search half of a load issue, which needs no entry of the load's
+    /// own: search the store queue for forwarding and report whether older
+    /// unknown-address stores exist. The search takes one cycle.
+    ///
+    /// Counts one HL-SQ search (the central queues are reported in the HL
+    /// columns of Table 2, matching the paper's OoO-64 rows).
+    pub fn search_load(&mut self, seq: u64, addr: MemAccess) -> LoadOutcome {
         self.counters.hl_sq_searches += 1;
         let forward = self.sq.find_forwarding_store(seq, &addr);
         if forward.is_some() {
@@ -169,11 +172,6 @@ impl CentralLsq {
             MemOpKind::Store => self.sq.commit_head(seq).is_some(),
         }
     }
-
-    /// Squashes every entry with sequence number `>= from_seq`.
-    pub fn squash_from(&mut self, from_seq: u64) -> usize {
-        self.lq.squash_from(from_seq) + self.sq.squash_from(from_seq)
-    }
 }
 
 #[cfg(test)]
@@ -195,13 +193,14 @@ mod tests {
     #[test]
     fn conventional_capacity_limits() {
         let mut lsq = CentralLsq::new(CentralLsqConfig::conventional());
+        assert_eq!(lsq.free_load_entries(), Some(32));
         for i in 0..32 {
             lsq.allocate(MemOpKind::Load, i).unwrap();
         }
-        assert!(!lsq.has_room(MemOpKind::Load));
+        assert_eq!(lsq.free_load_entries(), Some(0));
         assert!(lsq.allocate(MemOpKind::Load, 99).is_err());
-        assert!(lsq.has_room(MemOpKind::Store));
         assert_eq!(lsq.occupancy(), (32, 0));
+        assert!(lsq.allocate(MemOpKind::Store, 100).is_ok());
     }
 
     #[test]
@@ -218,8 +217,8 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(lsq.has_room(MemOpKind::Load));
-        assert!(lsq.has_room(MemOpKind::Store));
+        assert_eq!(lsq.free_load_entries(), None);
+        assert_eq!(lsq.occupancy(), (6_666, 3_334));
     }
 
     #[test]
@@ -321,14 +320,17 @@ mod tests {
     }
 
     #[test]
-    fn commit_and_squash() {
+    fn commit_takes_only_the_oldest_entry() {
         let mut lsq = CentralLsq::new(CentralLsqConfig::conventional());
         lsq.allocate(MemOpKind::Load, 1).unwrap();
         lsq.allocate(MemOpKind::Store, 2).unwrap();
         lsq.allocate(MemOpKind::Load, 3).unwrap();
+        assert!(!lsq.commit(MemOpKind::Load, 3));
         assert!(lsq.commit(MemOpKind::Load, 1));
         assert!(!lsq.commit(MemOpKind::Load, 1));
-        assert_eq!(lsq.squash_from(2), 2);
+        assert_eq!(lsq.occupancy(), (1, 1));
+        assert!(lsq.commit(MemOpKind::Store, 2));
+        assert!(lsq.commit(MemOpKind::Load, 3));
         assert_eq!(lsq.occupancy(), (0, 0));
     }
 

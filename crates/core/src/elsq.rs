@@ -220,10 +220,9 @@ impl Elsq {
     // High-locality operations
     // ------------------------------------------------------------------
 
-    /// Whether the HL queue for `kind` has a free entry (decode stalls when
-    /// it does not).
-    pub fn hl_has_room(&self, kind: MemOpKind) -> bool {
-        self.hl.has_room(kind)
+    /// Free HL-LQ entries (never `None`: the HL-LQ is bounded).
+    pub fn hl_free_load_entries(&self) -> Option<usize> {
+        self.hl.load_queue().free_entries()
     }
 
     /// Allocates an HL entry at decode.
@@ -270,8 +269,9 @@ impl Elsq {
         }
     }
 
-    /// A high-locality load issues: local HL-SQ search, then the ERT/SQM path
-    /// for forwarding from low-locality stores.
+    /// A high-locality load issues: record its address and issue cycle in
+    /// its HL-LQ entry, release a migration block it holds, then run
+    /// [`Elsq::search_hl_load`].
     pub fn issue_hl_load(&mut self, seq: u64, addr: MemAccess, cycle: u64) -> LoadOutcome {
         self.hl.set_address(MemOpKind::Load, seq, addr);
         self.hl.set_issued(MemOpKind::Load, seq, cycle);
@@ -280,6 +280,13 @@ impl Elsq {
                 self.migration_block = None;
             }
         }
+        self.search_hl_load(seq, addr)
+    }
+
+    /// The search half of a high-locality load issue, which needs no entry
+    /// of the load's own: local HL-SQ search, then the ERT/SQM path for
+    /// forwarding from low-locality stores.
+    pub fn search_hl_load(&mut self, seq: u64, addr: MemAccess) -> LoadOutcome {
         let mut out = LoadOutcome {
             older_unknown_store: self.hl.has_older_unknown_store(seq)
                 || self.ll.has_unresolved_stores(),
@@ -364,13 +371,13 @@ impl Elsq {
     // Migration and epoch management
     // ------------------------------------------------------------------
 
-    /// Opens a new epoch whose first instruction is `first_seq`.
+    /// Opens a new epoch.
     ///
     /// # Errors
     ///
     /// Returns an error when all epoch banks are live.
-    pub fn open_epoch(&mut self, first_seq: u64) -> Result<usize, crate::ll::NoFreeEpochError> {
-        self.ll.open_epoch(first_seq)
+    pub fn open_epoch(&mut self) -> Result<usize, crate::ll::NoFreeEpochError> {
+        self.ll.open_epoch()
     }
 
     /// The bank migration currently targets: the youngest epoch, provided it
@@ -721,19 +728,6 @@ impl Elsq {
         self.ll.recycle(epoch);
         true
     }
-
-    /// Squashes every HL entry with sequence number `>= from_seq` (branch
-    /// misprediction recovery in the high-locality stream). Returns how many
-    /// entries were removed.
-    pub fn squash_hl_from(&mut self, from_seq: u64) -> usize {
-        if self
-            .migration_block
-            .is_some_and(|blocked| blocked >= from_seq)
-        {
-            self.migration_block = None;
-        }
-        self.hl.squash_from(from_seq)
-    }
 }
 
 #[cfg(test)]
@@ -791,7 +785,7 @@ mod tests {
         // (still high-locality) forwards from it through ERT + SQM.
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
         lsq.hl_store_address_ready(1, acc(0x200), 4);
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         let bank = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         assert!(lsq.ll_active());
         assert_eq!(lsq.ll.epoch(bank).unwrap().stores().count(), 1);
@@ -816,7 +810,7 @@ mod tests {
         let mut lsq = Elsq::new(small_config().with_sqm(false));
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
         lsq.hl_store_address_ready(1, acc(0x300), 4);
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         lsq.allocate_hl(MemOpKind::Load, 5).unwrap();
         let out = lsq.issue_hl_load(5, acc(0x300), 9);
@@ -837,7 +831,7 @@ mod tests {
         let mut lsq = Elsq::new(cfg);
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
         lsq.hl_store_address_ready(1, acc(0x10), 2);
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         lsq.allocate_hl(MemOpKind::Load, 3).unwrap();
         // 0x1_0010 aliases 0x10 under 4 index bits but does not overlap.
@@ -852,10 +846,10 @@ mod tests {
         // Two epochs: an old store in epoch 0, a younger load in epoch 1.
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
         lsq.hl_store_address_ready(1, acc(0x500), 2);
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         let b0 = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         lsq.allocate_hl(MemOpKind::Load, 20).unwrap();
-        lsq.open_epoch(20).unwrap();
+        lsq.open_epoch().unwrap();
         let b1 = lsq.migrate_to_ll(MemOpKind::Load, 20, None).unwrap();
         assert_ne!(b0, b1);
         let out = lsq.issue_ll_load(b1, 20, acc(0x500), 30, None);
@@ -885,7 +879,7 @@ mod tests {
         // address; when the store resolves in the LL it must detect the
         // violation in the HL-LQ.
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         let bank = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         lsq.allocate_hl(MemOpKind::Load, 5).unwrap();
         let _ = lsq.issue_hl_load(5, acc(0x700), 10);
@@ -900,7 +894,7 @@ mod tests {
         let mut lsq = Elsq::new(cfg);
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap(); // address unknown
         lsq.allocate_hl(MemOpKind::Load, 2).unwrap();
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         let bank = lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         assert_eq!(lsq.migration_block, Some(1));
         assert_eq!(
@@ -919,7 +913,7 @@ mod tests {
         let cfg = small_config().with_disambiguation(DisambiguationModel::RestrictedSac);
         let mut lsq = Elsq::new(cfg);
         lsq.allocate_hl(MemOpKind::Load, 1).unwrap();
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         let bank = lsq.migrate_to_ll(MemOpKind::Load, 1, None).unwrap();
         let before = lsq.counters().ert_lookups;
         let _ = lsq.issue_ll_load(bank, 1, acc(0x20), 5, None);
@@ -940,13 +934,13 @@ mod tests {
             lsq.migrate_to_ll(MemOpKind::Store, 1, None),
             Err(MigrateError::NeedsNewEpoch)
         );
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
         assert_eq!(
             lsq.migrate_to_ll(MemOpKind::Store, 2, None),
             Err(MigrateError::NeedsNewEpoch)
         );
-        lsq.open_epoch(2).unwrap();
+        lsq.open_epoch().unwrap();
         assert!(lsq.migrate_to_ll(MemOpKind::Store, 2, None).is_ok());
         assert_eq!(lsq.ll.iter_banks_young_to_old().count(), 2);
         assert_eq!(lsq.epochs_allocated(), 2);
@@ -959,7 +953,7 @@ mod tests {
         let mut l1 = SetAssocCache::new(CacheConfig::default_l1());
         lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
         lsq.hl_store_address_ready(1, acc(0x1000), 2);
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         lsq.migrate_to_ll(MemOpKind::Store, 1, Some(&mut l1))
             .unwrap();
         assert!(l1.is_locked(0x1000));
@@ -984,7 +978,7 @@ mod tests {
         lsq.hl_store_address_ready(1, acc(0x0), 2);
         lsq.allocate_hl(MemOpKind::Store, 2).unwrap();
         lsq.hl_store_address_ready(2, acc(0x40), 3);
-        lsq.open_epoch(1).unwrap();
+        lsq.open_epoch().unwrap();
         lsq.migrate_to_ll(MemOpKind::Store, 1, Some(&mut l1))
             .unwrap();
         // Inserting the second store stalls: its line cannot be locked.
@@ -1009,23 +1003,10 @@ mod tests {
     }
 
     #[test]
-    fn squash_hl_clears_migration_block() {
-        let cfg = small_config().with_disambiguation(DisambiguationModel::RestrictedSacLac);
-        let mut lsq = Elsq::new(cfg);
-        lsq.allocate_hl(MemOpKind::Load, 7).unwrap();
-        lsq.open_epoch(7).unwrap();
-        lsq.migrate_to_ll(MemOpKind::Load, 7, None).unwrap();
-        assert_eq!(lsq.migration_block, Some(7));
-        // The blocking instruction is squashed along with younger state.
-        lsq.squash_hl_from(7);
-        assert_eq!(lsq.migration_block, None);
-    }
-
-    #[test]
     fn unknown_store_between_spans_levels() {
         let mut lsq = Elsq::new(small_config());
         lsq.allocate_hl(MemOpKind::Store, 2).unwrap();
-        lsq.open_epoch(2).unwrap();
+        lsq.open_epoch().unwrap();
         lsq.migrate_to_ll(MemOpKind::Store, 2, None).unwrap();
         lsq.allocate_hl(MemOpKind::Store, 5).unwrap();
         assert!(lsq.has_unknown_store_between(1, 9));
@@ -1045,6 +1026,29 @@ mod tests {
         assert!(lsq.commit_hl(MemOpKind::Load, 1).is_none());
         assert_eq!(lsq.hl.load_queue().len(), 0);
         assert_eq!(lsq.hl.store_queue().len(), 1);
-        assert_eq!(lsq.squash_hl_from(0), 1);
+        assert_eq!(lsq.hl_free_load_entries(), Some(8));
+    }
+
+    #[test]
+    fn an_hl_load_search_needs_no_entry() {
+        // The same search as an issuing load, through the SQM, with no
+        // HL-LQ entry taken or changed and the migration block left alone.
+        let cfg = small_config().with_disambiguation(DisambiguationModel::RestrictedSacLac);
+        let mut lsq = Elsq::new(cfg);
+        lsq.allocate_hl(MemOpKind::Store, 1).unwrap();
+        lsq.hl_store_address_ready(1, acc(0x200), 4);
+        lsq.open_epoch().unwrap();
+        lsq.migrate_to_ll(MemOpKind::Store, 1, None).unwrap();
+        lsq.allocate_hl(MemOpKind::Load, 5).unwrap();
+        lsq.open_epoch().unwrap();
+        lsq.migrate_to_ll(MemOpKind::Load, 5, None).unwrap();
+        assert_eq!(lsq.migration_block, Some(5));
+        lsq.allocate_hl(MemOpKind::Load, 10).unwrap();
+        let searched = lsq.search_hl_load(11, acc(0x200));
+        assert_eq!(searched.forward.map(|f| f.store_seq), Some(1));
+        assert_eq!(lsq.hl_free_load_entries(), Some(7));
+        assert_eq!(lsq.migration_block, Some(5));
+        assert_eq!(lsq.issue_hl_load(10, acc(0x200), 20), searched);
+        assert_eq!(lsq.counters().sqm_lookups, 2);
     }
 }

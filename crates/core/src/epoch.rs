@@ -35,9 +35,6 @@ pub struct Epoch {
     /// Monotonically increasing epoch identifier, used to order epochs by
     /// age even though bank indices recycle.
     id: u64,
-    /// Sequence number of the first instruction in the epoch (the
-    /// checkpoint's restart point).
-    first_seq: u64,
     lq: AgeQueue,
     sq: AgeQueue,
     /// Number of stores whose address is still unknown (tracked for the SVW
@@ -46,13 +43,11 @@ pub struct Epoch {
 }
 
 impl Epoch {
-    /// Creates an empty epoch in `bank` with identity `id`, starting at
-    /// program-order position `first_seq`.
-    pub fn new(bank: usize, id: u64, first_seq: u64, limits: EpochLimits) -> Self {
+    /// Creates an empty epoch in `bank` with identity `id`.
+    pub fn new(bank: usize, id: u64, limits: EpochLimits) -> Self {
         Self {
             bank,
             id,
-            first_seq,
             lq: AgeQueue::bounded(limits.max_loads),
             sq: AgeQueue::bounded(limits.max_stores),
             unresolved_stores: 0,
@@ -62,10 +57,9 @@ impl Epoch {
     /// Re-initializes a recycled epoch shell in place, keeping the queue
     /// storage (slab slots, index tables) of the previous occupant so epoch
     /// turnover performs no allocation.
-    pub(crate) fn reset(&mut self, bank: usize, id: u64, first_seq: u64) {
+    pub(crate) fn reset(&mut self, bank: usize, id: u64) {
         self.bank = bank;
         self.id = id;
-        self.first_seq = first_seq;
         self.lq.clear();
         self.sq.clear();
         self.unresolved_stores = 0;
@@ -79,13 +73,6 @@ impl Epoch {
     /// The epoch's age-ordered identity.
     pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Sequence number of the first instruction of the epoch (the recovery
-    /// point of its checkpoint).
-    #[cfg(test)]
-    pub(crate) fn first_seq(&self) -> u64 {
-        self.first_seq
     }
 
     /// Whether the epoch can accept another entry of `kind`.
@@ -201,10 +188,9 @@ mod tests {
 
     #[test]
     fn capacity_per_kind() {
-        let mut ep = Epoch::new(0, 7, 100, limits());
+        let mut ep = Epoch::new(0, 7, limits());
         assert_eq!(ep.bank(), 0);
         assert_eq!(ep.id(), 7);
-        assert_eq!(ep.first_seq(), 100);
         ep.insert(MemOpKind::Store, entry(101, None)).unwrap();
         ep.insert(MemOpKind::Store, entry(102, Some(0x10))).unwrap();
         assert!(!ep.has_room(MemOpKind::Store));
@@ -216,7 +202,7 @@ mod tests {
 
     #[test]
     fn unresolved_store_tracking() {
-        let mut ep = Epoch::new(1, 1, 0, limits());
+        let mut ep = Epoch::new(1, 1, limits());
         ep.insert(MemOpKind::Store, entry(5, None)).unwrap();
         assert_eq!(ep.unresolved_stores(), 1);
         ep.set_address(MemOpKind::Store, 5, MemAccess::new(0x40, 8));
@@ -228,7 +214,7 @@ mod tests {
 
     #[test]
     fn local_searches() {
-        let mut ep = Epoch::new(2, 3, 0, limits());
+        let mut ep = Epoch::new(2, 3, limits());
         ep.insert(MemOpKind::Store, entry(10, Some(0x100))).unwrap();
         ep.insert(MemOpKind::Load, entry(12, None)).unwrap();
         ep.set_issued(MemOpKind::Store, 10, 50);
@@ -243,7 +229,7 @@ mod tests {
 
     #[test]
     fn known_addresses_and_iterators() {
-        let mut ep = Epoch::new(0, 0, 0, limits());
+        let mut ep = Epoch::new(0, 0, limits());
         assert!(ep.is_empty());
         ep.insert(MemOpKind::Load, entry(1, Some(0x20))).unwrap();
         ep.insert(MemOpKind::Store, entry(2, None)).unwrap();

@@ -41,14 +41,6 @@ impl HlLsq {
         }
     }
 
-    /// Whether the queue for `kind` has a free entry.
-    pub fn has_room(&self, kind: MemOpKind) -> bool {
-        match kind {
-            MemOpKind::Load => !self.lq.is_full(),
-            MemOpKind::Store => !self.sq.is_full(),
-        }
-    }
-
     /// Records the address of a load or store.
     pub fn set_address(&mut self, kind: MemOpKind, seq: u64, addr: MemAccess) -> bool {
         match kind {
@@ -98,12 +90,6 @@ impl HlLsq {
         }
     }
 
-    /// Squashes every entry with sequence number `>= from_seq`, returning the
-    /// number removed.
-    pub fn squash_from(&mut self, from_seq: u64) -> usize {
-        self.lq.squash_from(from_seq) + self.sq.squash_from(from_seq)
-    }
-
     /// Shared access to the store queue (used by the coordinator for the
     /// cross-level checks).
     pub fn store_queue(&self) -> &AgeQueue {
@@ -130,8 +116,9 @@ mod tests {
         hl.allocate(MemOpKind::Load, 1).unwrap();
         hl.allocate(MemOpKind::Store, 2).unwrap();
         hl.allocate(MemOpKind::Load, 3).unwrap();
-        assert!(!hl.has_room(MemOpKind::Load));
-        assert!(!hl.has_room(MemOpKind::Store));
+        assert_eq!(hl.load_queue().free_entries(), Some(0));
+        assert_eq!(hl.store_queue().free_entries(), Some(0));
+        assert!(hl.allocate(MemOpKind::Load, 4).is_err());
         assert!(hl.allocate(MemOpKind::Store, 4).is_err());
         assert_eq!(hl.load_queue().len(), 2);
         assert_eq!(hl.store_queue().len(), 1);
@@ -170,16 +157,15 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_squash() {
+    fn remove_takes_the_entry_from_its_kinds_queue() {
         let mut hl = HlLsq::new(4, 4);
         hl.allocate(MemOpKind::Load, 1).unwrap();
         hl.allocate(MemOpKind::Store, 2).unwrap();
         hl.allocate(MemOpKind::Load, 3).unwrap();
         let e = hl.remove(MemOpKind::Load, 1).unwrap();
         assert_eq!(e.seq, 1);
-        assert_eq!(hl.squash_from(3), 1);
-        assert_eq!(hl.load_queue().len(), 0);
-        assert_eq!(hl.store_queue().len(), 1);
+        assert!(hl.remove(MemOpKind::Store, 3).is_none());
+        assert_eq!(hl.remove(MemOpKind::Load, 3).map(|e| e.seq), Some(3));
         assert!(hl.load_queue().is_empty());
         assert_eq!(hl.store_queue().len(), 1);
     }

@@ -73,13 +73,12 @@ impl LlLsq {
         self.order.is_empty()
     }
 
-    /// Opens a new epoch whose first instruction is `first_seq` and returns
-    /// its bank index.
+    /// Opens a new epoch and returns its bank index.
     ///
     /// # Errors
     ///
     /// Returns [`NoFreeEpochError`] when every bank holds a live epoch.
-    pub fn open_epoch(&mut self, first_seq: u64) -> Result<usize, NoFreeEpochError> {
+    pub fn open_epoch(&mut self) -> Result<usize, NoFreeEpochError> {
         let bank = self
             .banks
             .iter()
@@ -90,10 +89,10 @@ impl LlLsq {
         self.allocated += 1;
         let epoch = match self.spare.pop() {
             Some(mut shell) => {
-                shell.reset(bank, id, first_seq);
+                shell.reset(bank, id);
                 shell
             }
-            None => Epoch::new(bank, id, first_seq, self.limits),
+            None => Epoch::new(bank, id, self.limits),
         };
         self.banks[bank] = Some(epoch);
         self.order.push_back(bank);
@@ -206,10 +205,10 @@ mod tests {
     fn open_and_exhaust_banks() {
         let mut q = ll(2);
         assert!(q.is_idle());
-        let b0 = q.open_epoch(10).unwrap();
-        let b1 = q.open_epoch(20).unwrap();
+        let b0 = q.open_epoch().unwrap();
+        let b1 = q.open_epoch().unwrap();
         assert_ne!(b0, b1);
-        assert_eq!(q.open_epoch(30), Err(NoFreeEpochError));
+        assert_eq!(q.open_epoch(), Err(NoFreeEpochError));
         assert_eq!(q.iter_banks_young_to_old().collect::<Vec<_>>(), [b1, b0]);
         assert_eq!(q.total_allocated(), 2);
         assert!(!q.is_idle());
@@ -219,13 +218,13 @@ mod tests {
     #[test]
     fn commit_frees_bank_for_reuse() {
         let mut q = ll(2);
-        let b0 = q.open_epoch(0).unwrap();
-        let _b1 = q.open_epoch(100).unwrap();
+        let b0 = q.open_epoch().unwrap();
+        let _b1 = q.open_epoch().unwrap();
         let committed = q.commit_oldest().unwrap();
         assert_eq!(committed.bank(), b0);
         assert_eq!(q.iter_banks_young_to_old().count(), 1);
         // The freed bank can be reused, and age order is preserved by ids.
-        let b2 = q.open_epoch(200).unwrap();
+        let b2 = q.open_epoch().unwrap();
         assert_eq!(b2, b0);
         let ids: Vec<u64> = q
             .iter_banks_young_to_old()
@@ -237,13 +236,12 @@ mod tests {
     #[test]
     fn recycled_shells_are_reused_and_reset() {
         let mut q = ll(2);
-        let b0 = q.open_epoch(0).unwrap();
+        let b0 = q.open_epoch().unwrap();
         q.insert(b0, MemOpKind::Load, MemEntry::pending(1)).unwrap();
         let epoch = q.commit_oldest().unwrap();
         q.recycle(epoch);
-        let b1 = q.open_epoch(50).unwrap();
+        let b1 = q.open_epoch().unwrap();
         let reopened = q.epoch(b1).unwrap();
-        assert_eq!(reopened.first_seq(), 50);
         assert!(reopened.is_empty(), "recycled shell must be empty");
         assert_eq!(q.total_allocated(), 2);
         // Age ids keep increasing across recycling.
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn room_and_occupancy_tracking() {
         let mut q = ll(2);
-        let b = q.open_epoch(0).unwrap();
+        let b = q.open_epoch().unwrap();
         assert!(q.epoch(b).unwrap().has_room(MemOpKind::Load));
         q.insert(b, MemOpKind::Store, MemEntry::pending(1)).unwrap();
         q.insert(b, MemOpKind::Store, MemEntry::pending(2)).unwrap();

@@ -14,10 +14,10 @@
 //! The queue is a slab of entry slots threaded into a doubly-linked list in
 //! program order. The slab is stored structure-of-arrays: entry payloads
 //! and list links live in parallel vectors indexed by slot, so the search
-//! loops scan densely packed [`MemEntry`] values while squash — the
-//! wrong-path hot path, which detaches a run of tail slots — rewrites only
-//! the compact link records. Two indices turn the former linear scans into
-//! near-constant-time lookups (see `docs/PERFORMANCE.md`):
+//! loops scan densely packed [`MemEntry`] values while commit and removal,
+//! which detach one slot each, rewrite only the compact link records. Two
+//! indices turn the former linear scans into near-constant-time lookups
+//! (see `docs/PERFORMANCE.md`):
 //!
 //! * **intrusive hash chains** (`Chains`) threaded through the slots: a
 //!   sequence chain per `seq & mask` makes [`AgeQueue::get`],
@@ -31,16 +31,19 @@
 //!   per two heads;
 //! * an **unknown-address deque** of the sequence numbers whose address is
 //!   still pending, kept ascending (entries arrive in program order, so it
-//!   grows only at the back; commit and squash pop its ends): the
+//!   grows only at the back; commit pops its front): the
 //!   `has_older_unknown_address` predicate reads its front and
 //!   `has_unknown_address_between` is one binary search.
 //!
-//! Freed slots (commit, remove, squash, clear) return to a free list, and
-//! linking or unlinking a slot writes a few `u32`s, so a steady-state
-//! simulation performs no queue allocation or hashing through a map. Every
-//! query returns exactly what the original linear scans returned;
-//! `crates/core/tests/proptests.rs` pins the equivalence against a naive
-//! reference model over random op sequences.
+//! Slots freed by commit or removal return to a free list, and linking or
+//! unlinking a slot writes a few `u32`s, so a steady-state simulation
+//! performs no queue allocation or hashing through a map.
+//! [`AgeQueue::clear`] (an epoch's queues, when its retired shell is
+//! reused) empties the queue in one step: it resets the slab and empties
+//! every chain head, and visits no entry. Every query returns exactly what
+//! the original linear scans returned; `crates/core/tests/proptests.rs`
+//! pins the equivalence against a naive reference model over random op
+//! sequences.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -239,6 +242,13 @@ impl Chains {
         chains
     }
 
+    /// Empties every chain, keeping the number of heads. The per-slot links
+    /// need no reset: linking a slot overwrites them.
+    fn clear(&mut self) {
+        self.seq_heads.fill(NIL);
+        self.line_heads.fill(NIL);
+    }
+
     /// Empties every chain and resizes the heads to `heads` (a power of
     /// two). The owner then re-links its live entries.
     fn reset(&mut self, heads: usize) {
@@ -389,8 +399,8 @@ fn unlink(heads: &mut [u32], next: &mut [u32], bucket: usize, node: u32) {
 
 /// Program-order list links for one slab slot. Kept in an array parallel to
 /// the entry payloads: the forwarding/violation searches walk only entries
-/// (densely packed, no link bytes between them), while squash and detach
-/// walk only these 8-byte records plus the one entry they remove.
+/// (densely packed, no link bytes between them), while detach rewrites only
+/// these 8-byte records and reads the one entry it removes.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
@@ -464,6 +474,12 @@ impl AgeQueue {
     /// Whether the queue cannot accept another entry.
     pub(crate) fn is_full(&self) -> bool {
         self.capacity.is_some_and(|c| self.len >= c)
+    }
+
+    /// How many more entries the queue accepts; `None` when it is
+    /// unbounded.
+    pub fn free_entries(&self) -> Option<usize> {
+        self.capacity.map(|c| c.saturating_sub(self.len))
     }
 
     /// Number of entries whose address is still unknown.
@@ -553,8 +569,8 @@ impl AgeQueue {
         }
     }
 
-    /// Drops `seq` from the unknown-address set. Commit removes the oldest
-    /// entry and squash the youngest, so the ends are checked first.
+    /// Drops `seq` from the unknown-address set. Commit and migration
+    /// remove the oldest entries, so the ends are checked first.
     fn forget_unknown(&mut self, seq: u64) {
         if self.unknown.front() == Some(&seq) {
             self.unknown.pop_front();
@@ -668,25 +684,21 @@ impl AgeQueue {
         self.slot_of(seq).map(|slot| self.detach(slot))
     }
 
-    /// Removes every entry with `seq >= from_seq` (squash) and returns how
-    /// many were removed. Freed slots return to the slab free list.
-    pub fn squash_from(&mut self, from_seq: u64) -> usize {
-        let mut removed = 0;
-        while self.tail != NIL && self.entries[self.tail as usize].seq >= from_seq {
-            self.detach(self.tail);
-            removed += 1;
-        }
-        removed
-    }
-
-    /// Clears the queue and returns the number of entries dropped. Slots and
-    /// bucket storage are retained for reuse.
-    pub fn clear(&mut self) -> usize {
-        let n = self.len;
-        while self.tail != NIL {
-            self.detach(self.tail);
-        }
-        n
+    /// Empties the queue in one step: the slab, links, free list and
+    /// unknown-address deque are reset and every chain head is emptied,
+    /// without detaching the entries one at a time. The searches filter what
+    /// they find on a chain exactly, so the slots the next entries take need
+    /// not match the ones a detach order would have handed out. Storage is
+    /// retained for reuse.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.links.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.len = 0;
+        self.chains.clear();
+        self.unknown.clear();
     }
 
     /// Iterates over entries in program order.
@@ -1008,20 +1020,33 @@ mod tests {
     }
 
     #[test]
-    fn commit_and_squash() {
+    fn commit_and_clear() {
         let mut q = AgeQueue::bounded(8);
         for seq in 1..=5 {
             q.allocate(seq).unwrap();
         }
+        q.set_address(3, acc(0x100, 8));
         assert!(q.commit_head(2).is_none()); // not the head
         assert_eq!(q.commit_head(1).unwrap().seq, 1);
-        assert_eq!(q.squash_from(4), 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.tail_seq(), Some(3));
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.free_entries(), Some(4));
+        assert_eq!(q.tail_seq(), Some(5));
         assert_eq!(q.iter().next().map(|e| e.seq), Some(2));
-        assert_eq!(q.clear(), 2);
+        q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.free_entries(), Some(8));
         assert_eq!(q.unknown_address_count(), 0);
+        assert!(q.get(3).is_none());
+        assert!(q.find_forwarding_store(9, &acc(0x100, 8)).is_none());
+        // The cleared queue takes entries again, older ones included.
+        q.allocate(2).unwrap();
+        q.set_address(2, acc(0x100, 8));
+        assert_eq!(
+            q.find_forwarding_store(9, &acc(0x100, 8))
+                .map(|hit| hit.store_seq),
+            Some(2)
+        );
+        assert_eq!(AgeQueue::unbounded().free_entries(), None);
     }
 
     #[test]
@@ -1031,7 +1056,8 @@ mod tests {
             q.allocate(seq).unwrap();
         }
         let slab_size = q.entries.len();
-        q.squash_from(3); // frees two slots
+        q.remove(3); // frees two slots
+        q.remove(4);
         q.commit_head(1); // frees one more
         for seq in 10..=12 {
             q.allocate(seq).unwrap();

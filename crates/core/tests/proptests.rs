@@ -111,11 +111,8 @@ impl LinearRefQueue {
         Some(self.entries.remove(pos))
     }
 
-    fn squash_from(&mut self, from_seq: u64) -> usize {
-        let keep = self.entries.iter().take_while(|e| e.seq < from_seq).count();
-        let removed = self.entries.len() - keep;
-        self.entries.truncate(keep);
-        removed
+    fn clear(&mut self) {
+        self.entries.clear();
     }
 
     fn find_forwarding_store(&self, load_seq: u64, access: &MemAccess) -> Option<u64> {
@@ -370,23 +367,6 @@ proptest! {
         prop_assert_eq!(hit.map(|h| h.store_seq), expected);
     }
 
-    /// Squashing from a sequence number removes exactly the younger entries.
-    #[test]
-    fn squash_removes_exactly_younger_entries(
-        count in 1usize..60,
-        cut in 0u64..70,
-    ) {
-        let mut q = AgeQueue::unbounded();
-        for seq in 1..=count as u64 {
-            q.allocate(seq).unwrap();
-        }
-        let removed = q.squash_from(cut);
-        let expected_removed = (1..=count as u64).filter(|s| *s >= cut).count();
-        prop_assert_eq!(removed, expected_removed);
-        prop_assert_eq!(q.len(), count - expected_removed);
-        prop_assert!(q.iter().all(|e| e.seq < cut));
-    }
-
     /// The ERT never produces false negatives: any (address, bank) that was
     /// inserted and not cleared is always reported.
     #[test]
@@ -431,12 +411,15 @@ proptest! {
     /// The indexed `AgeQueue` (slab + sequence and line chains +
     /// unknown-address deque) answers every query identically to the naive
     /// linear-scan reference model over random interleavings of allocate /
-    /// set_address / set_issued / remove / commit_head / squash_from, on a
+    /// set_address / set_issued / remove / commit_head / clear, on a
     /// bounded queue of drawn capacity and on an unbounded one. Addresses
     /// come from regions far apart, so chains mix lines; unaligned accesses
     /// straddle the 64-byte index-line boundary; and the up-front fill can
     /// take the unbounded queue past 128 live entries, which re-threads its
-    /// index twice (at 32 and at 128), unknown addresses included.
+    /// index twice (at 32 and at 128), unknown addresses included, so a
+    /// clear can follow a re-thread. A clear empties the chains by their
+    /// heads: an entry left on a line chain would turn up in a later search
+    /// once its slot is freed or reused.
     #[test]
     fn indexed_age_queue_matches_linear_reference(
         fill in prop::collection::vec((0u64..640, 0u8..4), 0..160),
@@ -498,12 +481,13 @@ proptest! {
                         prop_assert_eq!(indexed.commit_head(pick), reference.commit_head(pick));
                     }
                     _ => {
-                        prop_assert_eq!(indexed.squash_from(pick), reference.squash_from(pick));
+                        indexed.clear();
+                        reference.clear();
                     }
                 }
                 // Look up every seq this op could have removed.
-                let removed_up_to = if op % 8 == 7 { next_seq } else { pick };
-                check_queue(&indexed, &reference, pick..=removed_up_to, next_seq, &access)?;
+                let removed = if op % 8 == 7 { 0..=next_seq } else { pick..=pick };
+                check_queue(&indexed, &reference, removed, next_seq, &access)?;
                 check_queue(&indexed, &reference, 0..=0, next_seq, &probe)?;
             }
         }
@@ -679,8 +663,7 @@ proptest! {
             let bank = (!live.is_empty()).then(|| live[pick as usize % live.len()]);
             match (op, bank) {
                 (0, _) => {
-                    seq += 1;
-                    let _ = ll.open_epoch(seq);
+                    let _ = ll.open_epoch();
                 }
                 (1 | 2, Some(bank)) => {
                     seq += 1;

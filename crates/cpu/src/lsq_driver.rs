@@ -46,16 +46,16 @@ impl LsqDriver {
         }
     }
 
-    /// Whether the queue that would hold a new `kind` entry has room.
-    pub fn has_room(&self, kind: MemOpKind) -> bool {
+    /// Free entries of the load queue a new load would take (the central
+    /// LQ or the HL-LQ); `None` when it is unlimited.
+    pub fn free_load_entries(&self) -> Option<usize> {
         match self {
-            LsqDriver::Central(l) => l.has_room(kind),
-            LsqDriver::Elsq(l) => l.hl_has_room(kind),
+            LsqDriver::Central(l) => l.free_load_entries(),
+            LsqDriver::Elsq(l) => l.hl_free_load_entries(),
         }
     }
 
-    /// Allocates an entry at decode. Returns `false` when the queue is full
-    /// (the caller must have checked [`LsqDriver::has_room`]).
+    /// Allocates an entry at decode. Returns `false` when the queue is full.
     pub fn allocate(&mut self, kind: MemOpKind, seq: u64) -> bool {
         match self {
             LsqDriver::Central(l) => l.allocate(kind, seq).is_ok(),
@@ -78,6 +78,17 @@ impl LsqDriver {
                 ExecSite::CacheProcessor => l.issue_hl_load(seq, addr, cycle),
                 ExecSite::MemoryEngine { bank } => l.issue_ll_load(bank, seq, addr, cycle, l1),
             },
+        }
+    }
+
+    /// The search a wrong-path load makes: that of a load issuing in the
+    /// Cache Processor, with no entry of its own taken or recorded. Only
+    /// stores search load queues, and a wrong path has none, so no search
+    /// could reach such an entry.
+    pub fn search_wrong_path_load(&mut self, seq: u64, addr: MemAccess) -> LoadOutcome {
+        match self {
+            LsqDriver::Central(l) => l.search_load(seq, addr),
+            LsqDriver::Elsq(l) => l.search_hl_load(seq, addr),
         }
     }
 
@@ -110,13 +121,13 @@ impl LsqDriver {
         }
     }
 
-    /// Opens a new epoch starting at `first_seq`. Returns the bank, or `None`
-    /// when every bank is live (the caller must retire the oldest epoch
-    /// first). Central queues report bank 0 unconditionally.
-    pub fn open_epoch(&mut self, first_seq: u64) -> Option<usize> {
+    /// Opens a new epoch. Returns the bank, or `None` when every bank is
+    /// live (the caller must retire the oldest epoch first). Central queues
+    /// report bank 0 unconditionally.
+    pub fn open_epoch(&mut self) -> Option<usize> {
         match self {
             LsqDriver::Central(_) => Some(0),
-            LsqDriver::Elsq(l) => l.open_epoch(first_seq).ok(),
+            LsqDriver::Elsq(l) => l.open_epoch().ok(),
         }
     }
 
@@ -163,20 +174,6 @@ impl LsqDriver {
         }
     }
 
-    /// Squashes every entry with sequence number `>= from_seq` in the
-    /// youngest (high-locality / central) portion of the queue — used for
-    /// wrong-path recovery.
-    pub fn squash_from(&mut self, from_seq: u64) {
-        match self {
-            LsqDriver::Central(l) => {
-                l.squash_from(from_seq);
-            }
-            LsqDriver::Elsq(l) => {
-                l.squash_hl_from(from_seq);
-            }
-        }
-    }
-
     /// Whether any store between `store_seq` and `load_seq` has an unknown
     /// address (SVW CheckStores predicate).
     pub fn has_unknown_store_between(&self, store_seq: u64, load_seq: u64) -> bool {
@@ -216,7 +213,7 @@ mod tests {
     #[test]
     fn central_driver_forwards_and_detects_violations() {
         let mut d = LsqDriver::new(&LsqKind::Central(CentralLsqConfig::conventional()));
-        assert!(d.has_room(MemOpKind::Store));
+        assert_eq!(d.free_load_entries(), Some(32));
         assert!(d.allocate(MemOpKind::Store, 1));
         assert!(d.allocate(MemOpKind::Load, 2));
         let st = d.resolve_store(1, acc(0x80), 5, ExecSite::CacheProcessor, None);
@@ -226,7 +223,7 @@ mod tests {
         d.commit_mem(MemOpKind::Store, 1);
         d.commit_mem(MemOpKind::Load, 2);
         assert!(!d.ll_active());
-        assert!(d.open_epoch(0).is_some());
+        assert!(d.open_epoch().is_some());
         assert!(d.migrate(MemOpKind::Load, 99, None).is_ok());
     }
 
@@ -237,7 +234,7 @@ mod tests {
         let st = d.resolve_store(1, acc(0x100), 3, ExecSite::CacheProcessor, None);
         assert_eq!(st.violation_load_seq, None);
         assert!(!d.needs_new_epoch(MemOpKind::Store) || !d.ll_active());
-        d.open_epoch(1).unwrap();
+        d.open_epoch().unwrap();
         let bank = d.migrate(MemOpKind::Store, 1, None).unwrap();
         assert!(d.ll_active());
         assert_eq!(d.epochs_allocated(), 1);
@@ -261,7 +258,25 @@ mod tests {
         let mut d = LsqDriver::new(&LsqKind::Elsq(ElsqConfig::default()));
         d.allocate(MemOpKind::Store, 3);
         assert!(d.has_unknown_store_between(1, 9));
-        d.squash_from(0);
+        d.resolve_store(3, acc(0x40), 4, ExecSite::CacheProcessor, None);
         assert!(!d.has_unknown_store_between(1, 9));
+    }
+
+    #[test]
+    fn wrong_path_load_search_takes_no_entry() {
+        for kind in [
+            LsqKind::Central(CentralLsqConfig::conventional()),
+            LsqKind::Central(CentralLsqConfig::unlimited()),
+            LsqKind::Elsq(ElsqConfig::default()),
+        ] {
+            let mut d = LsqDriver::new(&kind);
+            let free = d.free_load_entries();
+            assert!(d.allocate(MemOpKind::Store, 1));
+            d.resolve_store(1, acc(0x80), 5, ExecSite::CacheProcessor, None);
+            let out = d.search_wrong_path_load(2, acc(0x80));
+            assert_eq!(out.forward.map(|f| f.store_seq), Some(1), "{kind:?}");
+            assert_eq!(d.free_load_entries(), free, "{kind:?}");
+            assert_eq!(d.counters().hl_sq_searches, 1, "{kind:?}");
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! operations), memory access, completion and commit — under explicit
 //! structural constraints:
 //!
-//! * fetch, issue, commit and cache-port bandwidth (port schedules),
+//! * fetch, issue, commit and cache-port bandwidth (port schedules; commit
+//!   grants never go backwards, so commit counts on an in-order port),
 //! * CP reorder-buffer occupancy (an instruction cannot be fetched until the
 //!   instruction `ROB_SIZE` positions earlier has left the CP),
 //! * LSQ occupancy (HL-LSQ or central queue entries),
@@ -26,9 +27,13 @@
 //! `process_inst` runs one instruction through the stage functions
 //! `fetch_dispatch`, `migrates` (the migration decision), `execute_cp` or
 //! `execute_me` (Memory Engine, with epoch management), `commit` and
-//! `retire`. Every load and store, wrong-path loads included, reaches the
-//! LSQ and the cache through one function, `execute_mem`, whose only
-//! site-dependent rules are:
+//! `retire`. Every correct-path load and store reaches the LSQ and the
+//! cache through one function, `execute_mem`; a load's cache side is
+//! `access_load`, which wrong-path loads share. A wrong-path load takes no
+//! LSQ entry: only stores search load queues and a wrong path has none, so
+//! it makes only the search half of a load issue, and the load queue's
+//! free entries at the start of the burst bound how many loads issue. The
+//! only site-dependent rules of the memory path are:
 //!
 //! * a Memory Engine load that does not forward reserves its cache port at
 //!   issue + `network_one_way`, completes `network_one_way` later, and
@@ -41,11 +46,11 @@
 
 use std::collections::VecDeque;
 
-use elsq_core::queue::MemOpKind;
+use elsq_core::queue::{LoadOutcome, MemOpKind};
 use elsq_core::svw::{LoadVulnerability, SvwReexecutor};
-use elsq_isa::{DynInst, OpClass, TraceSource};
+use elsq_isa::{DynInst, MemAccess, OpClass, TraceSource};
 use elsq_mem::hierarchy::MemoryHierarchy;
-use elsq_mem::ports::PortSchedule;
+use elsq_mem::ports::{InOrderPort, PortSchedule};
 use elsq_stats::sampling::{SamplingSpec, SamplingStats, WindowSample};
 
 use crate::config::{CpuConfig, FmcConfig, LsqKind};
@@ -130,9 +135,10 @@ struct RunState {
     reg_ready: [u64; NUM_REGS],
     fetch_ports: PortSchedule,
     issue_ports: PortSchedule,
-    commit_ports: PortSchedule,
+    commit_port: InOrderPort,
     cache_ports: PortSchedule,
-    me_issue: Vec<(u64, u32)>,
+    /// In-order issue of each Memory Engine.
+    me_issue: Vec<InOrderPort>,
     rob: Occupancy,
     mp_window: Occupancy,
     lq: Occupancy,
@@ -195,8 +201,7 @@ struct Dispatched {
     inst: DynInst,
     seq: u64,
     kind: Option<MemOpKind>,
-    /// `kind` if its LSQ entry was allocated (wrong-path bursts can fill
-    /// the queue).
+    /// `kind` if its LSQ entry was allocated.
     tracked: Option<MemOpKind>,
     dispatch: u64,
     /// Ready cycle of every source operand, not before `dispatch`.
@@ -363,7 +368,6 @@ impl Processor {
                 let horizon = st.last_commit_cycle.saturating_sub(PRUNE_TRAIL_CYCLES);
                 st.fetch_ports.retire_before(horizon);
                 st.issue_ports.retire_before(horizon);
-                st.commit_ports.retire_before(horizon);
                 st.cache_ports.retire_before(horizon);
             }
         }
@@ -372,7 +376,9 @@ impl Processor {
 
     fn init_state(&self, workload_name: &str) -> RunState {
         let cfg = &self.config;
-        let me_count = cfg.fmc.map(|f| f.num_engines).unwrap_or(0);
+        let (me_count, me_width) = cfg
+            .fmc
+            .map_or((0, 1), |f| (f.num_engines, f.me_issue_width));
         let (lq_cap, sq_cap) = match &cfg.lsq {
             LsqKind::Central(c) => (c.lq_entries, c.sq_entries),
             LsqKind::Elsq(e) => (Some(e.hl_lq_entries), Some(e.hl_sq_entries)),
@@ -386,9 +392,9 @@ impl Processor {
             reg_ready: [0; NUM_REGS],
             fetch_ports: PortSchedule::new(cfg.fetch_width),
             issue_ports: PortSchedule::new(cfg.issue_width),
-            commit_ports: PortSchedule::new(cfg.commit_width),
+            commit_port: InOrderPort::new(cfg.commit_width),
             cache_ports: PortSchedule::new(cfg.cache_ports),
-            me_issue: vec![(0, 0); me_count.max(1)],
+            me_issue: vec![InOrderPort::new(me_width); me_count.max(1)],
             rob: Occupancy::new(Some(cfg.rob_size)),
             mp_window: Occupancy::new(cfg.fmc.map(|f| f.total_window())),
             lq: Occupancy::new(lq_cap),
@@ -429,8 +435,7 @@ impl Processor {
         st.result
     }
 
-    /// Fetches and processes wrong-path instructions until `resolve`, then
-    /// squashes them.
+    /// Fetches and processes wrong-path instructions until `resolve`.
     fn run_wrong_path(&mut self, st: &mut RunState, workload: &mut dyn TraceSource, resolve: u64) {
         st.result.sim.branch_mispredicts += 1;
         let wp_start_seq = st.seq;
@@ -443,32 +448,38 @@ impl Processor {
         // fetch schedule until it ends, so the schedule alone fixes how many
         // slots land before resolution.
         let burst = st.fetch_ports.free_before(probe, resolve, max_wp);
+        // Nothing in a burst frees an LQ entry, so the entries free at its
+        // start bound how many wrong-path loads issue; each load fetched
+        // uses one, though it takes none (`None`: an unlimited queue).
+        let mut lq_free = st.lsq.free_load_entries();
         // Every slot of the burst is a probe of `probe`, so the slots of
         // the instructions that only take a fetch slot are owed and
         // reserved in bulk just before a load takes its own.
         let mut owed = 0u64;
         let mut fetched = 0u64;
         while fetched < burst {
-            let (alus, mem) = workload.wrong_path_run(0x4000_0000 + fetched * 4, burst - fetched);
-            debug_assert!(mem.is_some() || alus == burst - fetched);
+            let (alus, load) = workload.wrong_path_run(0x4000_0000 + fetched * 4, burst - fetched);
+            debug_assert!(load.is_some() || alus == burst - fetched);
             // ALU ops only take fetch slots (and ROB entries, below).
             owed += alus;
             fetched += alus;
-            let Some(inst) = mem else { break };
+            let Some(inst) = load else { break };
+            debug_assert!(inst.is_load(), "wrong paths draw only loads");
             let seq = wp_start_seq + fetched;
             fetched += 1;
-            if inst.is_load() && !st.lsq.has_room(MemOpKind::Load) {
-                // Nothing in a burst frees an LQ entry, so no later load
-                // finds room either: draw the tail without building it.
+            if lq_free == Some(0) {
+                // No later load finds a free entry either: draw the tail
+                // without building it.
                 workload.wrong_path_skip(burst - fetched);
                 owed += 1 + burst - fetched;
                 fetched = burst;
                 break;
             }
+            lq_free = lq_free.map(|free| free - 1);
             st.fetch_ports.reserve_n(probe, owed);
             owed = 0;
             let fetch = st.fetch_ports.reserve(probe);
-            self.process_wrong_path_inst(st, inst, seq, fetch, resolve);
+            self.process_wrong_path_load(st, &inst, seq, fetch, resolve);
         }
         st.fetch_ports.reserve_n(probe, owed);
         if burst < max_wp {
@@ -485,34 +496,31 @@ impl Processor {
         st.rob.push(resolve, fetched);
         st.result.sim.wrong_path_fetched += fetched;
         st.result.sim.squashed += fetched;
-        st.lsq.squash_from(wp_start_seq);
         st.fetch_blocked_until = st
             .fetch_blocked_until
             .max(resolve + self.config.redirect_penalty as u64);
     }
 
-    /// Processes wrong-path memory instruction `seq`, fetched at `fetch`:
-    /// it consumes LSQ entries, issue slots and cache bandwidth, but never
-    /// commits or updates the register file, and its resources free at
-    /// `resolve`.
-    fn process_wrong_path_inst(
+    /// Processes wrong-path load `seq`, fetched at `fetch` with a free LQ
+    /// entry counted for it: it takes an issue slot and, when it issues
+    /// before `resolve`, the LSQ search, cache port and cache access of any
+    /// Cache Processor load. It holds no LSQ entry, never commits or updates
+    /// the register file, and its result is never used.
+    fn process_wrong_path_load(
         &self,
         st: &mut RunState,
-        inst: DynInst,
+        inst: &DynInst,
         seq: u64,
         fetch: u64,
         resolve: u64,
     ) {
-        // It takes an LQ or SQ entry if one is free; a load with one issues.
-        if mem_kind(&inst).is_some_and(|k| st.lsq.allocate(k, seq)) && inst.is_load() {
-            let dispatch = fetch + self.config.frontend_depth as u64;
-            let ready = st.operand_ready(&inst).max(dispatch);
-            let issue = st.issue_ports.reserve(ready);
-            if issue < resolve {
-                // The load takes its LSQ search, cache port and cache access
-                // like any other; its result is never used.
-                self.execute_mem(st, &inst, seq, issue, ready, ExecSite::CacheProcessor);
-            }
+        let dispatch = fetch + self.config.frontend_depth as u64;
+        let ready = st.operand_ready(inst).max(dispatch);
+        let issue = st.issue_ports.reserve(ready);
+        if issue < resolve {
+            let mem = inst.mem_access();
+            let out = st.lsq.search_wrong_path_load(seq, mem);
+            self.access_load(st, mem, issue, ExecSite::CacheProcessor, &out);
         }
     }
 
@@ -672,7 +680,7 @@ impl Processor {
                 st.closed_epochs.push_back(e.release);
             }
             let bank = loop {
-                if let Some(bank) = st.lsq.open_epoch(d.seq) {
+                if let Some(bank) = st.lsq.open_epoch() {
                     break bank;
                 }
                 // Every bank is live: wait for the oldest epoch to retire.
@@ -745,16 +753,7 @@ impl Processor {
     ) -> (u64, Option<MemExec>) {
         let arrival = migrate_cycle + f.network_one_way as u64;
         let me_slot = bank.min(st.me_issue.len() - 1);
-        let me = &mut st.me_issue[me_slot];
-        let mut issue = d.ready.max(arrival).max(me.0);
-        if issue == me.0 && me.1 >= f.me_issue_width {
-            issue += 1;
-        }
-        if issue == me.0 {
-            me.1 += 1;
-        } else {
-            *me = (issue, 1);
-        }
+        let issue = st.me_issue[me_slot].reserve(d.ready.max(arrival));
         let Some(kind) = d.kind else {
             return (issue + d.inst.op.latency() as u64, None);
         };
@@ -774,11 +773,11 @@ impl Processor {
         (m.complete, Some(m))
     }
 
-    /// The one memory access path: load or store `seq` issues at `issue`
-    /// (its operands ready at `ready`) from `site`, searches the LSQ and,
-    /// for a load, accesses the cache. The module doc lists the rules that
-    /// depend on `site`.
-    // Inlined into its four callers: out of line, 2k-commit sweeps measured
+    /// The one memory access path of the correct path: load or store `seq`
+    /// issues at `issue` (its operands ready at `ready`) from `site`,
+    /// searches the LSQ and, for a load, accesses the cache. The module doc
+    /// lists the rules that depend on `site`.
+    // Inlined into its three callers: out of line, 2k-commit sweeps measured
     // about 4% slower on a 2-core host.
     #[inline(always)]
     fn execute_mem(
@@ -791,12 +790,6 @@ impl Processor {
         site: ExecSite,
     ) -> MemExec {
         let mem = inst.mem_access();
-        let remote = match site {
-            ExecSite::CacheProcessor => 0,
-            ExecSite::MemoryEngine { .. } => {
-                self.config.fmc.map_or(0, |f| f.network_one_way as u64)
-            }
-        };
         if inst.is_store() {
             let out = st
                 .lsq
@@ -814,8 +807,35 @@ impl Processor {
         let out = st
             .lsq
             .issue_load(seq, mem, issue, site, Some(st.hierarchy.l1_mut()));
+        MemExec {
+            issue,
+            complete: self.access_load(st, mem, issue, site, &out),
+            forwarded_from: out.forward.map(|f| f.store_seq),
+            older_unknown_store: out.older_unknown_store,
+            squash_at: out.lock_conflict.then_some(issue),
+        }
+    }
+
+    /// The cache side of load `mem`, issued at `issue` from `site`, once its
+    /// LSQ search has answered `out`: its cache port and cache access.
+    /// Returns its completion cycle.
+    #[inline(always)]
+    fn access_load(
+        &self,
+        st: &mut RunState,
+        mem: MemAccess,
+        issue: u64,
+        site: ExecSite,
+        out: &LoadOutcome,
+    ) -> u64 {
+        let remote = match site {
+            ExecSite::CacheProcessor => 0,
+            ExecSite::MemoryEngine { .. } => {
+                self.config.fmc.map_or(0, |f| f.network_one_way as u64)
+            }
+        };
         let extra = out.extra_latency as u64;
-        let complete = if let Some(forward) = out.forward {
+        if let Some(forward) = out.forward {
             if site == ExecSite::CacheProcessor {
                 // The Cache Processor accesses the cache alongside its
                 // store-queue search.
@@ -839,13 +859,6 @@ impl Processor {
             let port = st.cache_ports.reserve(issue + remote);
             let access = st.hierarchy.access(mem.addr, false);
             port + access.latency as u64 + extra + remote + central_round_trip
-        };
-        MemExec {
-            issue,
-            complete,
-            forwarded_from: out.forward.map(|f| f.store_seq),
-            older_unknown_store: out.older_unknown_store,
-            squash_at: out.lock_conflict.then_some(issue),
         }
     }
 
@@ -853,9 +866,7 @@ impl Processor {
     /// under SVW and a store writes the cache; an ordering violation or a
     /// lock conflict then redirects the front end. Returns the commit cycle.
     fn commit(&self, st: &mut RunState, d: &Dispatched, x: &Executed) -> u64 {
-        let mut commit = st
-            .commit_ports
-            .reserve(x.complete.max(st.last_commit_cycle));
+        let mut commit = st.commit_port.reserve(x.complete.max(st.last_commit_cycle));
         if let (Some(kind), Some(m)) = (d.kind, x.mem) {
             let addr = d.inst.mem_access().addr;
             match kind {
@@ -1147,6 +1158,57 @@ mod tests {
     }
 
     #[test]
+    fn wrong_path_loads_use_the_lq_entries_free_at_burst_start() {
+        // The mispredicted branch waits 200 cycles for r3, so its wrong
+        // path runs to hundreds of instructions, every one a load at
+        // `load_rate` 1 whose address register is ready within a few
+        // cycles. The load queue (OoO-64's LQ, FMC's HL-LQ) has 32 free
+        // entries when the burst starts, so exactly 32 loads search the LSQ
+        // and access the cache, and the rest of the burst only fetches.
+        let insts = vec![
+            InstBuilder::alu(0x0, OpClass::IntAlu)
+                .dst(ArchReg::int(8))
+                .src(ArchReg::int(0))
+                .build(),
+            InstBuilder::alu(0x4, OpClass::IntAlu)
+                .dst(ArchReg::int(3))
+                .src(ArchReg::int(0))
+                .latency(200)
+                .build(),
+            InstBuilder::branch(0x8, true, true, 0x100)
+                .src(ArchReg::int(3))
+                .build(),
+            InstBuilder::load(0x100, 0x1000, 8)
+                .dst(ArchReg::int(9))
+                .src(ArchReg::int(0))
+                .build(),
+        ];
+        for (name, config) in [
+            ("OoO-64", CpuConfig::ooo64()),
+            ("FMC-Hash", CpuConfig::fmc_hash(true)),
+        ] {
+            let run_at = |load_rate| run(config, &mut SpecTrace::new(insts.clone(), load_rate), 4);
+            let (loads, alus) = (run_at(1.0), run_at(0.0));
+            assert_eq!((loads.sim.committed, alus.sim.committed), (4, 4), "{name}");
+            assert_eq!(
+                loads.sim.wrong_path_fetched, alus.sim.wrong_path_fetched,
+                "{name}"
+            );
+            assert!(loads.sim.wrong_path_fetched > 200, "{name}");
+            assert_eq!(
+                loads.lsq.hl_sq_searches - alus.lsq.hl_sq_searches,
+                32,
+                "{name}: wrong-path LSQ searches"
+            );
+            assert_eq!(
+                loads.lsq.cache_accesses - alus.lsq.cache_accesses,
+                32,
+                "{name}: wrong-path cache accesses"
+            );
+        }
+    }
+
+    #[test]
     fn svw_counts_reexecutions() {
         let mut t = PointerChaseInt::parser_like(3);
         let r = run(CpuConfig::ooo64_svw(8, false), &mut t, 20_000);
@@ -1213,7 +1275,6 @@ mod tests {
             for (name, ports) in [
                 ("fetch", &st.fetch_ports),
                 ("issue", &st.issue_ports),
-                ("commit", &st.commit_ports),
                 ("cache", &st.cache_ports),
             ] {
                 assert!(

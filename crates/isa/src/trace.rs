@@ -3,10 +3,11 @@
 //! A [`TraceSource`] produces the correct-path dynamic instruction stream one
 //! instruction at a time, and additionally synthesizes *wrong-path*
 //! instructions that the front end fetches after a mispredicted branch until
-//! that branch resolves. Wrong-path instructions never commit, but they do
-//! occupy LSQ entries and access caches, which is essential to reproduce the
-//! paper's Table 2 observation that SPEC INT LSQ activity grows with window
-//! aggressiveness — so the wrong-path stream must stay exact.
+//! that branch resolves. Wrong-path instructions never commit, but their
+//! loads search the LSQ and access the caches, which is essential to
+//! reproduce the paper's Table 2 observation that SPEC INT LSQ activity
+//! grows with window aggressiveness — so the wrong-path stream must stay
+//! exact.
 //!
 //! Most wrong-path instructions are ALU operations that the timing model
 //! only counts, so sources hand them out in runs:
@@ -32,7 +33,9 @@ pub trait TraceSource: Send {
     /// `pc`, stopping after the first memory instruction. Returns how many
     /// non-memory instructions came before it, and the memory instruction
     /// itself (fetched at `pc + 4 * count`) if one was drawn; without one
-    /// the count is `max`.
+    /// the count is `max`. Wrong paths draw only loads: the memory
+    /// instruction is never a store, so a wrong path never writes the LSQ
+    /// state that a search reads.
     ///
     /// The default models sources with no wrong-path spec: every wrong-path
     /// instruction is an integer ALU op, which consumes no state, so the run

@@ -17,7 +17,8 @@
 //!   processor models use both for timing and for classifying instructions
 //!   as high- or low-locality,
 //! * [`ports::PortSchedule`] — cache port arbitration (2 read/write ports by
-//!   default).
+//!   default), and [`ports::InOrderPort`] for ports whose grants never go
+//!   backwards (commit, the in-order Memory Engines).
 //!
 //! # Example
 //!

@@ -32,7 +32,13 @@
 //! Two bulk operations serve those bursts: [`PortSchedule::free_before`]
 //! counts, without reserving, how many probes of one cycle would be granted
 //! before a deadline, and [`PortSchedule::reserve_n`] makes `n` such
-//! reservations in one forward pass.
+//! reservations in one forward pass. The common probe, one that lands on a
+//! free slot inside the window and leaves it free, is answered inline
+//! without the memo.
+//!
+//! Commit and the in-order Memory Engines need none of this: their grants
+//! never go backwards, so an [`InOrderPort`] (the cycle of the latest grant
+//! and how many grants it holds) is the whole schedule.
 
 /// Ring size of a fresh schedule; growth doubles it.
 const INITIAL_RING: usize = 64;
@@ -82,7 +88,25 @@ impl PortSchedule {
 
     /// Reserves a port at the earliest cycle `>= earliest` and returns that
     /// cycle.
+    #[inline]
     pub fn reserve(&mut self, earliest: u64) -> u64 {
+        // A free slot inside the window that this grant does not fill: the
+        // scan would stop at once and leave the memo as it is. A cycle of
+        // the memoized run is full, so it never passes this test.
+        let cycle = earliest.max(self.base);
+        if cycle - self.base < self.span {
+            let slot = self.slot(cycle);
+            if self.used[slot] < self.ports - 1 {
+                self.used[slot] += 1;
+                return cycle;
+            }
+        }
+        self.reserve_by_scan(earliest)
+    }
+
+    /// [`PortSchedule::reserve`] by the scan from the first probe, which
+    /// maintains the full-run memo.
+    fn reserve_by_scan(&mut self, earliest: u64) -> u64 {
         let mut cycle = self.first_probe(earliest);
         let scan_start = cycle;
         let granted_fills = loop {
@@ -235,6 +259,48 @@ impl PortSchedule {
     }
 }
 
+/// A port whose grants never go backwards: each reservation lands at or
+/// after the previous grant, so the schedule is the cycle of the latest
+/// grant and how many grants that cycle holds. Commit (each probe is at or
+/// after the last commit cycle, itself at or after every earlier grant) and
+/// the in-order Memory Engines use it in place of a [`PortSchedule`]. For
+/// probes that never decrease it grants what a [`PortSchedule`] would.
+#[derive(Debug, Clone, Copy)]
+pub struct InOrderPort {
+    width: u32,
+    /// Cycle of the latest grant.
+    cycle: u64,
+    /// Grants made at `cycle`.
+    count: u32,
+}
+
+impl InOrderPort {
+    /// A port granting up to `width` reservations per cycle, none made yet.
+    pub fn new(width: u32) -> Self {
+        Self {
+            width,
+            cycle: 0,
+            count: 0,
+        }
+    }
+
+    /// Reserves the port at the first cycle at or after both `earliest`
+    /// and the latest grant that has a free slot, and returns that cycle.
+    #[inline]
+    pub fn reserve(&mut self, earliest: u64) -> u64 {
+        if earliest > self.cycle {
+            self.cycle = earliest;
+            self.count = 1;
+        } else if self.count < self.width {
+            self.count += 1;
+        } else {
+            self.cycle += 1;
+            self.count = 1;
+        }
+        self.cycle
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,10 +437,13 @@ mod tests {
     fn memoized_grants_match_the_naive_reference() {
         // A deterministic mixed op sequence, heavy on the wrong-path burst
         // pattern (many probes of one earliest cycle) that the memo exists
-        // for, interleaved with jumps, bulk reservations, read-only grant
-        // counts and horizon advances. Deep jumps outrun the ring and force
-        // it to grow; the horizon advancing past ring-sized spans makes
-        // later cycles wrap onto slots that earlier ones retired.
+        // for, interleaved with jumps, probes back into the window (most of
+        // which take the inline fast path: a free slot the grant leaves
+        // free), bulk reservations, read-only grant counts and horizon
+        // advances. Deep jumps outrun the ring and force it to grow; the
+        // horizon advancing past ring-sized spans makes later cycles wrap
+        // onto slots that earlier ones retired.
+        let mut fast_path_grants = 0;
         for ports in [1u32, 2, 4] {
             let mut fast = PortSchedule::new(ports);
             let mut naive = NaiveSchedule::new(ports);
@@ -387,9 +456,19 @@ mod tests {
             };
             let mut earliest = 0u64;
             for op in 0..20_000 {
-                match rng() % 16 {
+                let mut probe = earliest;
+                match rng() % 18 {
                     // Burst probe: same earliest, the saturating pattern.
                     0..=7 => {}
+                    // A probe up to 40 cycles back, as the issue and cache
+                    // ports see from operands that were ready early.
+                    16 | 17 => {
+                        probe = earliest.saturating_sub(rng() % 40);
+                        let at = probe.max(fast.base);
+                        if at - fast.base < fast.span && fast.free_at(at) >= 2 {
+                            fast_path_grants += 1;
+                        }
+                    }
                     // Jump forward up to 200 cycles.
                     8 | 9 => earliest += rng() % 200,
                     // Jump past the ring's current size.
@@ -422,8 +501,8 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    fast.reserve(earliest),
-                    naive.reserve(earliest),
+                    fast.reserve(probe),
+                    naive.reserve(probe),
                     "grant diverged at op {op} (ports={ports})"
                 );
                 for cycle in earliest.saturating_sub(4)..earliest + 12 {
@@ -433,6 +512,68 @@ mod tests {
                         "free_at({cycle}) diverged at op {op} (ports={ports})"
                     );
                 }
+            }
+        }
+        assert!(
+            fast_path_grants > 200,
+            "only {fast_path_grants} probes took the fast path"
+        );
+    }
+
+    /// The Memory Engine's issue port before [`InOrderPort`]: the cycle of
+    /// the latest grant and its grant count, updated inline.
+    fn tuple_port_reserve(port: &mut (u64, u32), width: u32, earliest: u64) -> u64 {
+        let mut issue = earliest.max(port.0);
+        if issue == port.0 && port.1 >= width {
+            issue += 1;
+        }
+        if issue == port.0 {
+            port.1 += 1;
+        } else {
+            *port = (issue, 1);
+        }
+        issue
+    }
+
+    #[test]
+    fn in_order_port_matches_the_tuple_logic_and_the_naive_schedule() {
+        for width in [1u32, 2, 4] {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(width);
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // Random probes, backwards ones included: the tuple logic.
+            let mut port = InOrderPort::new(width);
+            let mut tuple = (0u64, 0u32);
+            let mut earliest = 0u64;
+            for op in 0..20_000 {
+                earliest = match rng() % 4 {
+                    0 => earliest.saturating_sub(rng() % 30),
+                    1 => earliest + rng() % 30,
+                    _ => earliest,
+                };
+                assert_eq!(
+                    port.reserve(earliest),
+                    tuple_port_reserve(&mut tuple, width, earliest),
+                    "tuple logic diverged at op {op} (width={width})"
+                );
+            }
+            // Non-decreasing probes: every grant a schedule would make.
+            let mut port = InOrderPort::new(width);
+            let mut naive = NaiveSchedule::new(width);
+            let mut earliest = 0u64;
+            for op in 0..20_000 {
+                if rng() % 3 == 0 {
+                    earliest += rng() % 8;
+                }
+                assert_eq!(
+                    port.reserve(earliest),
+                    naive.reserve(earliest),
+                    "naive schedule diverged at op {op} (width={width})"
+                );
             }
         }
     }

@@ -29,7 +29,7 @@ fn main() {
 
     // An L2 miss opens an epoch and the store migrates to the low-locality
     // LSQ (one epoch per FMC Memory Engine).
-    let _bank = lsq.open_epoch(1).expect("a free epoch bank");
+    let _bank = lsq.open_epoch().expect("a free epoch bank");
     lsq.migrate_to_ll(MemOpKind::Store, 1, None)
         .expect("migration succeeds");
 
