@@ -584,11 +584,15 @@ impl Processor {
         if d.inst.wrong_path {
             return false;
         }
+        // The program-order rule decides most memory instructions of an FMC
+        // run, so it goes before the cache probe (which changes nothing).
+        if d.kind.is_some() && st.lsq.ll_active() {
+            return true;
+        }
         // Estimate the completion cycle if the instruction executed in the CP.
         let est_mem_latency = d.inst.mem.map_or(0, |m| st.hierarchy.probe_latency(m.addr));
         let est_complete = d.ready + d.inst.op.latency() as u64 + est_mem_latency as u64;
         est_complete > d.head_arrival + f.migrate_threshold as u64
-            || (d.kind.is_some() && st.lsq.ll_active())
     }
 
     /// High-locality execution in the out-of-order Cache Processor.
